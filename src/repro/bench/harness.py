@@ -79,15 +79,17 @@ def register_mmqjp(queries: Sequence[XsclQuery]) -> TemplateRegistry:
 
 
 def register_sequential(
-    queries: Sequence[XsclQuery], state=None, **knobs
+    queries: Sequence[XsclQuery],
+    state=None,
+    config: Optional[RuntimeConfig] = None,
 ) -> SequentialJoinProcessor:
     """Register a query workload with a fresh sequential processor.
 
-    ``knobs`` are forwarded to :class:`SequentialJoinProcessor`
-    (``plan_cache``, ``prune_dispatch``, ``delta_join``, ...), so every
-    benchmark constructs the baseline through this one path.
+    ``config`` carries the processor knobs (``plan_cache``,
+    ``prune_dispatch``, ``delta_join``, ...), so every benchmark constructs
+    the baseline through this one path.
     """
-    processor = SequentialJoinProcessor(state=state, **knobs)
+    processor = SequentialJoinProcessor(state=state, config=config)
     for i, query in enumerate(queries):
         processor.add_query(f"q{i}", query)
     return processor
@@ -244,12 +246,13 @@ def run_state_scaling(
     data.load_state(state)
     # delta_join is pinned off: this benchmark isolates the indexing knob
     # (the PR-2 measurement); the delta-scaling benchmark owns delta_join.
+    config = RuntimeConfig(indexing=indexing, delta_join=False)
     if approach == APPROACH_SEQUENTIAL:
-        processor = register_sequential(queries, state=state, delta_join=False)
+        processor = register_sequential(queries, state=state, config=config)
         num_templates = None
     elif approach == APPROACH_MMQJP:
         registry = register_mmqjp(queries)
-        processor = MMQJPJoinProcessor(registry, state=state, delta_join=False)
+        processor = MMQJPJoinProcessor(registry, state=state, config=config)
         num_templates = registry.num_templates
     else:
         raise ValueError(f"unsupported state-scaling approach {approach!r}")
@@ -307,27 +310,20 @@ def run_plan_scaling(
     # delta_join is pinned off: this benchmark isolates plan_cache ×
     # prune_dispatch against the PR-2 baseline; the delta-scaling benchmark
     # owns delta_join.
+    config = RuntimeConfig(
+        indexing=indexing,
+        plan_cache=plan_cache,
+        prune_dispatch=prune_dispatch,
+        delta_join=False,
+        columnar=columnar,
+    )
     if approach == APPROACH_SEQUENTIAL:
-        processor = register_sequential(
-            queries,
-            state=state,
-            plan_cache=plan_cache,
-            prune_dispatch=prune_dispatch,
-            delta_join=False,
-            columnar=columnar,
-        )
+        processor = register_sequential(queries, state=state, config=config)
         num_templates = None
     elif approach == APPROACH_MMQJP:
         if registry is None:
             registry = register_mmqjp(queries)
-        processor = MMQJPJoinProcessor(
-            registry,
-            state=state,
-            plan_cache=plan_cache,
-            prune_dispatch=prune_dispatch,
-            delta_join=False,
-            columnar=columnar,
-        )
+        processor = MMQJPJoinProcessor(registry, state=state, config=config)
         num_templates = registry.num_templates
     else:
         raise ValueError(f"unsupported plan-scaling approach {approach!r}")
@@ -392,27 +388,20 @@ def run_delta_scaling(
     """
     state = JoinState(indexing=indexing)
     data.load_state(state)
+    config = RuntimeConfig(
+        indexing=indexing,
+        plan_cache=plan_cache,
+        prune_dispatch=prune_dispatch,
+        delta_join=delta_join,
+        columnar=columnar,
+    )
     if approach == APPROACH_SEQUENTIAL:
-        processor = register_sequential(
-            queries,
-            state=state,
-            plan_cache=plan_cache,
-            prune_dispatch=prune_dispatch,
-            delta_join=delta_join,
-            columnar=columnar,
-        )
+        processor = register_sequential(queries, state=state, config=config)
         num_templates = None
     elif approach == APPROACH_MMQJP:
         if registry is None:
             registry = register_mmqjp(queries)
-        processor = MMQJPJoinProcessor(
-            registry,
-            state=state,
-            plan_cache=plan_cache,
-            prune_dispatch=prune_dispatch,
-            delta_join=delta_join,
-            columnar=columnar,
-        )
+        processor = MMQJPJoinProcessor(registry, state=state, config=config)
         num_templates = registry.num_templates
     else:
         raise ValueError(f"unsupported delta-scaling approach {approach!r}")

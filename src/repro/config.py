@@ -1,11 +1,10 @@
 """The unified runtime configuration: one object for every knob.
 
-Three PRs of growth left the broker front end behind a sprawl of ~10
-keyword arguments copy-pasted across :func:`~repro.core.engine.make_engine`,
-both engines, :class:`~repro.pubsub.Broker` and
-:class:`~repro.runtime.ShardedBroker`.  :class:`RuntimeConfig` replaces that
-sprawl with a single frozen dataclass — one validation point, one place for
-future PRs to add a knob — threaded through every layer of the stack:
+:class:`RuntimeConfig` is a single frozen dataclass — one validation
+point, one place to add a knob — and the only way to set a knob, in every
+layer of the stack: :func:`repro.open_broker`, both brokers,
+:func:`~repro.core.engine.make_engine`, both engines and both join
+processors take a config and read every knob from it.
 
 .. code-block:: python
 
@@ -15,9 +14,8 @@ future PRs to add a knob — threaded through every layer of the stack:
     with open_broker(config) as broker:
         broker.subscribe(...)
 
-The old per-constructor keyword arguments still work everywhere but emit a
-:class:`DeprecationWarning`; they are coerced into a ``RuntimeConfig`` by
-:func:`coerce_config`, so legacy call sites construct *identical* behavior.
+Unknown field names raise :class:`TypeError` (the dataclass constructor);
+bad values raise :class:`ValueError` from :meth:`RuntimeConfig.__post_init__`.
 
 Presets capture the two configurations the evaluation section uses
 constantly: :meth:`RuntimeConfig.throughput` (sharded, thread-pooled, no
@@ -29,9 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Optional, Union
 
 __all__ = [
     "ENGINES",
@@ -42,7 +39,6 @@ __all__ = [
     "DURABILITY_MODES",
     "INGEST_MODES",
     "RuntimeConfig",
-    "coerce_config",
     "metrics_enabled",
     "resolve_ingest",
 ]
@@ -129,9 +125,7 @@ class RuntimeConfig:
         with timestamp 0.
     store_documents:
         Keep processed documents so output XML can be constructed.
-        ``None`` (default) resolves per consumer: the engines and the
-        unsharded broker store documents; the sharded broker follows
-        ``construct_outputs``.
+        ``None`` (default) follows ``construct_outputs``.
     construct_outputs:
         Build the output XML document for every join match (slower; disable
         for throughput measurements).
@@ -302,16 +296,15 @@ class RuntimeConfig:
         """Whether this configuration selects the sharded runtime."""
         return self.shards > 1
 
-    def resolve_store_documents(self, follow_construct_outputs: bool = False) -> bool:
-        """Resolve the ``store_documents=None`` default for one consumer.
+    def resolve_store_documents(self) -> bool:
+        """Resolve the ``store_documents=None`` default.
 
-        The engines and the unsharded broker default to storing documents;
-        the sharded runtime (``follow_construct_outputs=True``) drops
-        storage whenever output construction is off (its throughput mode).
+        One rule for the engines and both brokers: unless set explicitly,
+        documents are stored exactly when output construction is on.
         """
         if self.store_documents is not None:
             return self.store_documents
-        return self.construct_outputs if follow_construct_outputs else True
+        return self.construct_outputs
 
     def replace(self, **changes) -> "RuntimeConfig":
         """A copy of this config with ``changes`` applied (re-validated)."""
@@ -359,6 +352,22 @@ class RuntimeConfig:
         return cls(**base)
 
 
+def config_or_default(config: Optional[RuntimeConfig], owner: str) -> RuntimeConfig:
+    """``config``, or ``RuntimeConfig()`` for ``None``: the constructors' argument.
+
+    Anything else — including an engine-name string, the removed shorthand
+    — raises :class:`TypeError` naming ``owner``.
+    """
+    if config is None:
+        return RuntimeConfig()
+    if not isinstance(config, RuntimeConfig):
+        raise TypeError(
+            f"{owner} takes a RuntimeConfig or None, got {type(config).__name__} "
+            f"{config!r}; set knobs as RuntimeConfig fields, e.g. RuntimeConfig(engine=...)"
+        )
+    return config
+
+
 def metrics_enabled(config: "RuntimeConfig") -> bool:
     """Whether ``config`` asks for runtime metrics, honoring ``REPRO_METRICS``.
 
@@ -391,73 +400,3 @@ def resolve_ingest(config: "RuntimeConfig") -> str:
             )
         return override
     return config.ingest
-
-
-#: All field names of :class:`RuntimeConfig` (the legal legacy kwargs).
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RuntimeConfig))
-
-#: Fields for which an explicit ``None`` is a *value*, not "not passed":
-#: their semantics distinguish None (unbounded / resolve-later) from the
-#: default.  Everywhere else a legacy ``None`` keeps the config default,
-#: matching the historical ``None``-able keyword defaults (e.g. ``shards``).
-_NONE_IS_A_VALUE = frozenset(
-    {"store_documents", "view_cache_size", "max_workers", "result_limit"}
-)
-
-
-def coerce_config(
-    config: Union[RuntimeConfig, str, None],
-    legacy: Optional[Mapping[str, Any]] = None,
-    owner: str = "Broker",
-    warn: bool = True,
-    stacklevel: int = 3,
-) -> RuntimeConfig:
-    """Resolve a constructor's ``(config, **legacy kwargs)`` pair.
-
-    ``config`` may be a :class:`RuntimeConfig`, an engine-name string (the
-    historical first positional argument of the brokers and
-    :func:`~repro.core.engine.make_engine`), or ``None``.  Any legacy
-    keyword arguments are folded into the config — with one
-    :class:`DeprecationWarning` per call when ``warn`` — so old call sites
-    keep constructing identical behavior.  Unknown keywords raise
-    :class:`TypeError`.  ``None`` values are treated as "not passed" —
-    matching the historical ``None``-able keyword defaults — except for the
-    fields in :data:`_NONE_IS_A_VALUE`, where ``None`` means unbounded /
-    resolve-later (e.g. ``result_limit=None`` keeps the legacy unbounded
-    ``results`` list).
-    """
-    if isinstance(config, str):
-        legacy = {"engine": config, **(legacy or {})}
-        config = None
-    elif config is not None and not isinstance(config, RuntimeConfig):
-        raise TypeError(
-            f"{owner} expects a RuntimeConfig, an engine name, or keyword "
-            f"arguments; got {type(config).__name__}"
-        )
-    changes: dict[str, Any] = {}
-    if legacy:
-        unknown = set(legacy) - _CONFIG_FIELDS
-        if unknown:
-            raise TypeError(
-                f"{owner}() got unexpected keyword argument(s) "
-                f"{sorted(unknown)}; valid fields: {sorted(_CONFIG_FIELDS)}"
-            )
-        changes = {
-            k: v
-            for k, v in legacy.items()
-            if v is not None or k in _NONE_IS_A_VALUE
-        }
-        if changes and warn:
-            warnings.warn(
-                f"passing individual keyword arguments to {owner} is "
-                f"deprecated; pass repro.RuntimeConfig("
-                + ", ".join(f"{k}=..." for k in sorted(changes))
-                + ") instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
-    if config is None:
-        return RuntimeConfig(**changes)
-    if changes:
-        return config.replace(**changes)
-    return config

@@ -16,13 +16,18 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.config import ENGINES, RuntimeConfig, coerce_config, metrics_enabled, resolve_ingest
+from repro.config import (
+    ENGINES,
+    RuntimeConfig,
+    config_or_default,
+    metrics_enabled,
+    resolve_ingest,
+)
 from repro.core.costs import CostBreakdown
 from repro.core.materialize import ViewCache
 from repro.metrics import MetricsRegistry
 from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
 from repro.core.results import Match, build_output_document
-from repro.core.state import JoinState
 from repro.core.witnesses import WitnessRelations
 from repro.templates.registry import TemplateRegistry
 from repro.xmlmodel.document import XmlDocument, _next_docid
@@ -740,35 +745,24 @@ class MMQJPEngine(_BaseEngine):
     config:
         A :class:`~repro.config.RuntimeConfig` carrying every knob
         (``indexing``, ``plan_cache``, ``prune_dispatch``, ``auto_prune``,
-        ``auto_timestamp``, ``store_documents``, ``view_cache_size``).  The
-        historical per-knob keywords are still accepted but emit a
-        :class:`DeprecationWarning`.
-    use_view_materialization:
-        Evaluate the per-template conjunctive queries over the materialized
-        views ``RL`` / ``RR`` (Section 5) instead of the raw witness
-        relations.  Defaults to ``True`` when the config selects the
-        ``"mmqjp-vm"`` engine or sets a ``view_cache_size``.
+        ``auto_timestamp``, ``store_documents``, ``view_cache_size``, ...);
+        ``None`` means ``RuntimeConfig()``.  View materialization
+        (Section 5: the per-template conjunctive queries run over the
+        materialized views ``RL`` / ``RR`` instead of the raw witness
+        relations) is on exactly when ``config.engine == "mmqjp-vm"``;
+        ``view_cache_size`` then bounds its ``RL``-slice cache.
     """
 
-    def __init__(
-        self,
-        config: Optional[RuntimeConfig] = None,
-        use_view_materialization: Optional[bool] = None,
-        **legacy,
-    ):
-        config = coerce_config(config, legacy, owner="MMQJPEngine")
-        if use_view_materialization is None:
-            use_view_materialization = (
-                config.engine == "mmqjp-vm" or config.view_cache_size is not None
-            )
+    def __init__(self, config: Optional[RuntimeConfig] = None):
+        config = config_or_default(config, "MMQJPEngine")
         super().__init__(config)
         self.registry = TemplateRegistry()
+        use_view_materialization = config.engine == "mmqjp-vm"
         view_cache = None
         if use_view_materialization and config.view_cache_size is not None:
             view_cache = ViewCache(max_entries=config.view_cache_size)
         self.processor = MMQJPJoinProcessor(
             registry=self.registry,
-            state=JoinState(indexing=config.indexing),
             use_view_materialization=use_view_materialization,
             view_cache=view_cache,
             config=config,
@@ -795,17 +789,14 @@ class MMQJPEngine(_BaseEngine):
 class SequentialEngine(_BaseEngine):
     """The baseline: per-query join evaluation behind the same interface.
 
-    Accepts a :class:`~repro.config.RuntimeConfig` (or the legacy knob
-    keywords, which warn) exactly like :class:`MMQJPEngine`.
+    Takes a :class:`~repro.config.RuntimeConfig` exactly like
+    :class:`MMQJPEngine` (``None`` means ``RuntimeConfig()``).
     """
 
-    def __init__(self, config: Optional[RuntimeConfig] = None, **legacy):
-        config = coerce_config(config, legacy, owner="SequentialEngine")
+    def __init__(self, config: Optional[RuntimeConfig] = None):
+        config = config_or_default(config, "SequentialEngine")
         super().__init__(config)
-        self.processor = SequentialJoinProcessor(
-            state=JoinState(indexing=config.indexing),
-            config=config,
-        )
+        self.processor = SequentialJoinProcessor(config=config)
         if self.metrics is not None:
             self.processor.costs.attach_metrics(self.metrics)
 
@@ -820,45 +811,26 @@ class SequentialEngine(_BaseEngine):
         self.processor.remove_query(qid)
 
 
-def make_engine(
-    engine: "str | RuntimeConfig | None" = None,
-    config: Optional[RuntimeConfig] = None,
-    store=None,
-    **legacy,
-) -> _BaseEngine:
-    """Construct an engine from a :class:`~repro.config.RuntimeConfig`.
+def make_engine(config: RuntimeConfig, store=None) -> _BaseEngine:
+    """Construct the engine ``config.engine`` selects (see :data:`ENGINES`).
 
-    The canonical form is ``make_engine(config)`` (or
-    ``make_engine("mmqjp-vm", config)`` to override the selection keyword —
-    see :data:`ENGINES`): ``"mmqjp"`` is the paper's system, ``"mmqjp-vm"``
-    adds the Section 5 view materialization (with an optional ``RL``-slice
-    cache), and ``"sequential"`` is the one-query-at-a-time baseline.  The
-    historical per-knob keywords (``indexing=``, ``plan_cache=``, ...) are
-    still accepted but emit a :class:`DeprecationWarning`.  This is the
-    single factory used by :class:`repro.pubsub.Broker` and by every shard
-    of :class:`repro.runtime.ShardedBroker`.
+    ``"mmqjp"`` is the paper's system, ``"mmqjp-vm"`` adds the Section 5
+    view materialization (with an optional ``RL``-slice cache of
+    ``config.view_cache_size`` entries), and ``"sequential"`` is the
+    one-query-at-a-time baseline.  This is the single factory used by
+    :class:`repro.pubsub.Broker` and by every shard of
+    :class:`repro.runtime.ShardedBroker`.
 
     ``store`` optionally attaches a :class:`~repro.storage.StateStore` (the
     brokers open one per engine when ``config.storage == "sqlite"``; each
     shard persists to its own database file, so the store cannot be derived
     from the shared config and is injected here instead).
     """
-    if isinstance(engine, RuntimeConfig):
-        if config is not None:
-            raise TypeError("pass either a RuntimeConfig or an engine name first, not two configs")
-        config, engine = engine, None
-    config = coerce_config(config, legacy, owner="make_engine")
-    if engine is not None:
-        config = config.replace(engine=engine)
-    if config.engine == "mmqjp":
-        # The selection keyword decides view materialization: a plain
-        # "mmqjp" ignores any view_cache_size (matching the historical
-        # factory), "mmqjp-vm" enables it.
-        built = MMQJPEngine(config, use_view_materialization=False)
-    elif config.engine == "mmqjp-vm":
-        built = MMQJPEngine(config, use_view_materialization=True)
+    config = config_or_default(config, "make_engine")
+    if config.engine == "sequential":
+        built: _BaseEngine = SequentialEngine(config)
     else:
-        built = SequentialEngine(config)
+        built = MMQJPEngine(config)
     if store is not None:
         built.attach_store(store)
     return built

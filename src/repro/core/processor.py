@@ -12,8 +12,9 @@ documents) and the current document's witness relations — and produce the
 same :class:`~repro.core.results.Match` records, which is what the
 equivalence tests in ``tests/`` check.
 
-Three knobs keep the per-document hot path proportional to the *relevant*
-work (all default on; off reproduces the previous behavior for ablation):
+Three :class:`~repro.config.RuntimeConfig` knobs keep the per-document hot
+path proportional to the *relevant* work (all default on; off reproduces the
+previous behavior for ablation):
 
 * ``plan_cache`` — conjunctive queries are evaluated through compiled,
   cached plans (:mod:`repro.relational.plan`) instead of being re-planned
@@ -34,7 +35,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional
 
-from repro.config import RuntimeConfig
+from repro.config import RuntimeConfig, config_or_default
 from repro.core.costs import CostBreakdown
 from repro.core.materialize import (
     MaterializedViews,
@@ -72,15 +73,14 @@ def window_satisfied(operator: JoinOperator, delta: float, window: float) -> boo
     return 0 <= delta <= window
 
 
-def _resolve_state(state: Optional[JoinState], indexing: Optional[str]) -> JoinState:
-    """Resolve a processor's (state, indexing) constructor pair.
+def _resolve_state(state: Optional[JoinState], indexing: str) -> JoinState:
+    """A processor's join state: ``state``, or a fresh one in ``indexing`` mode.
 
-    Builds a fresh state with the requested mode when none is given;
-    otherwise the mode, if specified, must agree with the state's.
+    A given state's indexing mode must agree with the config's.
     """
     if state is None:
-        return JoinState(indexing=indexing if indexing is not None else "eager")
-    if indexing is not None and indexing != state.indexing:
+        return JoinState(indexing=indexing)
+    if indexing != state.indexing:
         raise ValueError(
             f"indexing={indexing!r} conflicts with the given state's "
             f"indexing={state.indexing!r}"
@@ -88,58 +88,14 @@ def _resolve_state(state: Optional[JoinState], indexing: Optional[str]) -> JoinS
     return state
 
 
-def _resolve_plan_cache(plan_cache: "bool | PlanCache") -> Optional[PlanCache]:
-    """Resolve the ``plan_cache`` knob: bool toggle or a preconfigured cache."""
-    if isinstance(plan_cache, PlanCache):
-        return plan_cache
-    return PlanCache() if plan_cache else None
+def _columnar_enabled(config: RuntimeConfig) -> bool:
+    """``config.columnar``, downgraded to off by ``REPRO_COLUMNAR=0``.
 
-
-def _resolve_knobs(
-    config: Optional["RuntimeConfig"],
-    indexing: Optional[str],
-    plan_cache: "bool | PlanCache | None",
-    prune_dispatch: Optional[bool],
-    delta_join: Optional[bool],
-    columnar: Optional[bool] = None,
-) -> tuple:
-    """Fill unset processor knobs from a :class:`~repro.config.RuntimeConfig`.
-
-    Explicit knob arguments always win; with neither a knob nor a config the
-    historical defaults apply (``plan_cache=True``, ``prune_dispatch=True``,
-    ``delta_join=True``, ``columnar=True``, indexing resolved by
-    :func:`_resolve_state`).  ``REPRO_COLUMNAR=0`` in the environment
-    downgrades a *defaulted* columnar resolution to off — the CI replay
-    hook, mirroring ``REPRO_EXECUTOR`` — but never overrides an explicit
-    knob or config value.
+    The environment variable is the CI replay hook (mirroring
+    ``REPRO_EXECUTOR``): it runs existing suites on the row path without
+    touching call sites.
     """
-    columnar_explicit = columnar is not None
-    if config is not None:
-        if indexing is None:
-            indexing = config.indexing
-        if plan_cache is None:
-            plan_cache = config.plan_cache
-        if prune_dispatch is None:
-            prune_dispatch = config.prune_dispatch
-        if delta_join is None:
-            delta_join = config.delta_join
-        if columnar is None:
-            columnar = config.columnar
-    if plan_cache is None:
-        plan_cache = True
-    if prune_dispatch is None:
-        prune_dispatch = True
-    if delta_join is None:
-        delta_join = True
-    if columnar is None:
-        columnar = True
-    if (
-        columnar
-        and not columnar_explicit
-        and os.environ.get("REPRO_COLUMNAR") == "0"
-    ):
-        columnar = False
-    return indexing, plan_cache, prune_dispatch, delta_join, columnar
+    return config.columnar and os.environ.get("REPRO_COLUMNAR") != "0"
 
 
 def _empty_delta_stats() -> dict[str, int]:
@@ -209,38 +165,33 @@ class MMQJPJoinProcessor(_DeltaBatchMixin):
     Parameters
     ----------
     registry / state / use_view_materialization / view_cache:
-        As before; the state's ``indexing`` mode determines how the shared
-        evaluation environment resolves join keys.
-    indexing:
-        Convenience: construct the (defaulted) state with this indexing
-        mode.  Must agree with ``state.indexing`` when both are given.
-    plan_cache:
-        Evaluate the per-template conjunctive queries through compiled
-        plans (:class:`~repro.relational.plan.PlanCache`): the join order
-        and all per-atom metadata are computed once per template and reused
-        until the state statistics drift.  ``False`` falls back to the
-        plan-per-call evaluator (ablation/equivalence baseline); a
-        :class:`~repro.relational.plan.PlanCache` instance is used as-is
-        (e.g. to configure its growth budget).
-    prune_dispatch:
-        Skip every template none of whose member queries has all its
-        right-hand-side variables bound by the current document
-        (relevance-pruned dispatch).  ``False`` visits every template (the
-        pre-pruning behavior).
-    delta_join:
-        Evaluate each template's conjunctive query outward from the current
-        document's witness delta: the state relations are semi-join-reduced
-        to the delta-connected rows before the main join (one
-        :class:`~repro.relational.conjunctive.DeltaContext` per document,
-        shared across templates).  ``False`` probes the full state (the
-        pre-delta behavior).
-    columnar:
-        Evaluate over interned-id column vectors: the evaluation
-        environment owns a shared value dictionary, every bound relation
-        carries a columnar sidecar, and the compiled-plan executor and
-        delta-reduction passes run batch kernels over packed id vectors
-        wherever possible.  ``False`` keeps the pure row path; match sets
-        are identical either way.
+        The template registry, the join state (built fresh in
+        ``config.indexing`` mode when ``None``; a given state's indexing
+        mode must agree with the config's), whether to evaluate over the
+        Section 5 materialized views, and their optional ``RL``-slice cache.
+    config:
+        Every knob (``None`` means ``RuntimeConfig()``):
+
+        * ``plan_cache`` — evaluate the per-template conjunctive queries
+          through compiled plans (:class:`~repro.relational.plan.PlanCache`):
+          the join order and all per-atom metadata are computed once per
+          template and reused until the state statistics drift; off falls
+          back to the plan-per-call evaluator.
+        * ``prune_dispatch`` — skip every template none of whose member
+          queries has all its right-hand-side variables bound by the
+          current document; off visits every template.
+        * ``delta_join`` — evaluate each template's conjunctive query
+          outward from the current document's witness delta: the state
+          relations are semi-join-reduced to the delta-connected rows
+          before the main join (one
+          :class:`~repro.relational.conjunctive.DeltaContext` per document,
+          shared across templates); off probes the full state.
+        * ``columnar`` — evaluate over interned-id column vectors: the
+          evaluation environment owns a shared value dictionary, every
+          bound relation carries a columnar sidecar, and the compiled-plan
+          executor and delta-reduction passes run batch kernels over packed
+          id vectors; off (or ``REPRO_COLUMNAR=0``) keeps the pure row
+          path.  Match sets are identical either way.
     """
 
     def __init__(
@@ -249,32 +200,25 @@ class MMQJPJoinProcessor(_DeltaBatchMixin):
         state: Optional[JoinState] = None,
         use_view_materialization: Optional[bool] = None,
         view_cache: Optional[ViewCache] = None,
-        indexing: Optional[str] = None,
-        plan_cache: "bool | PlanCache | None" = None,
-        prune_dispatch: Optional[bool] = None,
-        delta_join: Optional[bool] = None,
-        columnar: Optional[bool] = None,
-        config: Optional["RuntimeConfig"] = None,
+        config: Optional[RuntimeConfig] = None,
     ):
-        indexing, plan_cache, prune_dispatch, delta_join, columnar = _resolve_knobs(
-            config, indexing, plan_cache, prune_dispatch, delta_join, columnar
-        )
+        config = config_or_default(config, "MMQJPJoinProcessor")
         self.registry = registry
-        self.state = _resolve_state(state, indexing)
+        self.state = _resolve_state(state, config.indexing)
         self.use_view_materialization = bool(use_view_materialization)
         self.view_cache = view_cache
         self.costs = CostBreakdown()
-        self.columnar = bool(columnar)
+        self.columnar = _columnar_enabled(config)
         self.env = _build_state_env(self.state, columnar=self.columnar)
         self._last_views: Optional[MaterializedViews] = None
-        self.plan_cache: Optional[PlanCache] = _resolve_plan_cache(plan_cache)
+        self.plan_cache: Optional[PlanCache] = PlanCache() if config.plan_cache else None
         self.relevance: Optional[RelevanceIndex] = (
-            RelevanceIndex() if prune_dispatch else None
+            RelevanceIndex() if config.prune_dispatch else None
         )
         self._relevance_seq = -1
         self.templates_skipped = 0
         self._match_positions: dict[int, tuple] = {}
-        self.delta_join = bool(delta_join)
+        self.delta_join = config.delta_join
         self.delta_stats = _empty_delta_stats()
         self._in_batch = False
         self.match_filter: Optional[Callable[[str], bool]] = None
@@ -573,39 +517,34 @@ def build_per_query_cq(qid: str, query: XsclQuery, reduced: ReducedJoinGraph) ->
 class SequentialJoinProcessor(_DeltaBatchMixin):
     """The paper's baseline: evaluate every query's join operator separately.
 
-    ``plan_cache``, ``prune_dispatch`` and ``delta_join`` mirror the MMQJP
-    processor's knobs, at per-query granularity: each query's conjunctive
-    query is compiled once, queries whose RHS variables the current
-    document did not bind are skipped entirely, and the per-query joins run
-    over delta-reduced state relations (shared across the document's
-    queries through one :class:`~repro.relational.conjunctive.DeltaContext`).
+    ``state`` and ``config`` are as for :class:`MMQJPJoinProcessor`, whose
+    knobs ``plan_cache``, ``prune_dispatch``, ``delta_join`` and
+    ``columnar`` apply here at per-query granularity: each query's
+    conjunctive query is compiled once, queries whose RHS variables the
+    current document did not bind are skipped entirely, and the per-query
+    joins run over delta-reduced state relations (shared across the
+    document's queries through one
+    :class:`~repro.relational.conjunctive.DeltaContext`).
     """
 
     def __init__(
         self,
         state: Optional[JoinState] = None,
-        indexing: Optional[str] = None,
-        plan_cache: "bool | PlanCache | None" = None,
-        prune_dispatch: Optional[bool] = None,
-        delta_join: Optional[bool] = None,
-        columnar: Optional[bool] = None,
         config: Optional[RuntimeConfig] = None,
     ):
-        indexing, plan_cache, prune_dispatch, delta_join, columnar = _resolve_knobs(
-            config, indexing, plan_cache, prune_dispatch, delta_join, columnar
-        )
-        self.state = _resolve_state(state, indexing)
+        config = config_or_default(config, "SequentialJoinProcessor")
+        self.state = _resolve_state(state, config.indexing)
         self.costs = CostBreakdown()
-        self.columnar = bool(columnar)
+        self.columnar = _columnar_enabled(config)
         self.env = _build_state_env(self.state, columnar=self.columnar)
         self._queries: dict[str, tuple[XsclQuery, ReducedJoinGraph, ConjunctiveQuery]] = {}
-        self.plan_cache: Optional[PlanCache] = _resolve_plan_cache(plan_cache)
+        self.plan_cache: Optional[PlanCache] = PlanCache() if config.plan_cache else None
         self.relevance: Optional[RelevanceIndex] = (
-            RelevanceIndex() if prune_dispatch else None
+            RelevanceIndex() if config.prune_dispatch else None
         )
         self.queries_skipped = 0
         self._match_positions: dict[str, tuple] = {}
-        self.delta_join = bool(delta_join)
+        self.delta_join = config.delta_join
         self.delta_stats = _empty_delta_stats()
         self._in_batch = False
         self.match_filter: Optional[Callable[[str], bool]] = None

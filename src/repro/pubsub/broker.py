@@ -13,23 +13,26 @@ documents, and delivers matches to subscribers.
   classic XPath pub/sub system.
 
 The blessed construction path is :func:`repro.open_broker`, which routes to
-the sharded runtime when ``config.shards > 1``; constructing ``Broker``
-directly still works (and still reroutes on ``shards=N``, with a
-:class:`DeprecationWarning`).
+the sharded runtime when ``config.shards > 1``; ``Broker`` itself is the
+unsharded flavor and refuses ``shards > 1``.
 """
 
 from __future__ import annotations
 
-import warnings
 from time import perf_counter
 from typing import Iterable, Optional, Union
 
-from repro.config import RuntimeConfig, coerce_config, metrics_enabled, resolve_ingest
+from repro.config import RuntimeConfig, config_or_default, metrics_enabled, resolve_ingest
 from repro.core.engine import ENGINES, make_engine
 from repro.metrics import MetricsRegistry, merge_snapshots
 from repro.pubsub.filters import FilterFrontEnd, deliver_filter_matches
 from repro.pubsub.stream import StreamRegistry
-from repro.pubsub.subscription import Callback, Subscription, SubscriptionResult
+from repro.pubsub.subscription import (
+    Callback,
+    Subscription,
+    SubscriptionResult,
+    delivery_failure_stats,
+)
 from repro.storage import SubscriptionRecord, open_member_store, resolve_storage
 from repro.storage.recovery import config_snapshot
 from repro.xmlmodel.document import XmlDocument
@@ -41,70 +44,22 @@ from repro.xscl.render import render_query
 __all__ = ["Broker", "ENGINES", "deliver_filter_matches"]
 
 
-def _peek_config(config, legacy: dict) -> Optional[RuntimeConfig]:
-    """Resolve the would-be config of a ``Broker(...)`` call.
-
-    Used by ``Broker.__new__`` to decide whether to reroute to the sharded
-    runtime; any legacy-kwarg :class:`DeprecationWarning` fires here (once)
-    and ``__init__`` reuses the resolved config.  Returns ``None`` when the
-    arguments are invalid — the real constructor raises the proper error.
-    """
-    try:
-        # stacklevel: coerce_config -> _peek_config -> __new__ -> caller
-        return coerce_config(config, legacy, owner="Broker", stacklevel=4)
-    except (TypeError, ValueError):
-        return None
-
-
 class Broker:
     """An XML publish/subscribe broker supporting inter-document join queries.
 
     Parameters
     ----------
     config:
-        A :class:`~repro.config.RuntimeConfig` (or an engine-name string as
-        shorthand for ``RuntimeConfig(engine=...)``).  The historical
-        per-knob keyword arguments (``engine=``, ``indexing=``,
-        ``construct_outputs=``, ...) are still accepted and construct
-        identical behavior, but emit a :class:`DeprecationWarning`.
-
-    Constructing ``Broker`` with ``shards > 1`` (via config or the legacy
-    keyword) returns a :class:`repro.runtime.ShardedBroker` instead, with a
-    :class:`DeprecationWarning` — use :func:`repro.open_broker`, which makes
-    the broker flavor an implementation detail.
+        A :class:`~repro.config.RuntimeConfig`; ``None`` means
+        ``RuntimeConfig()``.  ``shards > 1`` raises :class:`ValueError` —
+        use :func:`repro.open_broker`, which routes to
+        :class:`repro.runtime.ShardedBroker`.
     """
 
-    def __new__(cls, config: Union[RuntimeConfig, str, None] = None, **legacy):
-        if cls is Broker:
-            resolved = _peek_config(config, legacy)
-            if resolved is not None:
-                if resolved.shards > 1:
-                    warnings.warn(
-                        "Broker(shards=N) is deprecated; use repro.open_broker("
-                        "RuntimeConfig(shards=N)) — the façade routes to the "
-                        "sharded runtime explicitly",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-                    from repro.runtime.sharded_broker import ShardedBroker
-
-                    return ShardedBroker(resolved)
-                instance = super().__new__(cls)
-                instance._resolved_config = resolved
-                return instance
-        return super().__new__(cls)
-
-    def __init__(self, config: Union[RuntimeConfig, str, None] = None, **legacy):
-        resolved = self.__dict__.pop("_resolved_config", None)
-        config = (
-            resolved
-            if resolved is not None
-            else coerce_config(config, legacy, owner="Broker")
-        )
+    def __init__(self, config: Optional[RuntimeConfig] = None):
+        config = config_or_default(config, type(self).__name__)
         if config.shards > 1:
-            # Only reachable when __new__ did not reroute to the sharded
-            # runtime (i.e. from a Broker subclass): refuse rather than
-            # silently running everything on one engine.
+            # Refuse rather than silently running everything on one engine.
             raise ValueError(
                 f"{type(self).__name__} cannot honor shards={config.shards}; construct "
                 "repro.runtime.ShardedBroker (or use repro.open_broker) instead"
@@ -121,7 +76,7 @@ class Broker:
             self.storage, self.storage_path, "broker", config.durability
         )
         self.engine = make_engine(
-            config=config,
+            config,
             store=open_member_store(
                 self.storage, self.storage_path, "shard-0", config.durability
             ),
@@ -513,6 +468,7 @@ class Broker:
             "num_cancelled_subscriptions": sum(
                 1 for s in self._subscriptions.values() if s.cancelled
             ),
+            "delivery_failures": delivery_failure_stats(self._subscriptions.values()),
             "num_documents_published": sum(stream_counts.values()),
             "engine_stats": self.engine.stats().__dict__,
             "metrics": self.metrics_snapshot(),

@@ -19,7 +19,7 @@ bounded :class:`CollectingSink`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.core.results import Match
 from repro.xmlmodel.document import XmlDocument
@@ -92,6 +92,10 @@ class Subscription:
         if sink is not None:
             self.sinks.append(sink)
         self._sinks_closed = False
+        #: Sink deliveries that raised (see :meth:`deliver`).
+        self.delivery_failures = 0
+        #: The most recent exception a sink raised, if any.
+        self.last_delivery_error: Optional[Exception] = None
         # Bound by the owning broker; performs the engine-side retraction.
         self._retract: Optional[Callable[[str], bool]] = None
 
@@ -104,11 +108,21 @@ class Subscription:
         return self.query.is_join_query
 
     def deliver(self, result: SubscriptionResult) -> None:
-        """Route one result through every attached sink (if active)."""
+        """Route one result through every attached sink (if active).
+
+        A sink that raises cannot starve the others: the exception is
+        counted in :attr:`delivery_failures` (kept in
+        :attr:`last_delivery_error`) and delivery continues with the next
+        sink, the next subscription and the publisher.
+        """
         if not self.active:
             return
         for sink in self.sinks:
-            sink.deliver(result)
+            try:
+                sink.deliver(result)
+            except Exception as exc:  # noqa: BLE001 - isolate faulty consumers
+                self.delivery_failures += 1
+                self.last_delivery_error = exc
 
     def attach_sink(self, sink) -> None:
         """Attach an additional delivery sink."""
@@ -210,3 +224,17 @@ class Subscription:
             f"<Subscription {self.subscription_id!r} {state} "
             f"results={self.num_results}>"
         )
+
+
+def delivery_failure_stats(subscriptions: Iterable[Subscription]) -> dict:
+    """The brokers' ``stats()["delivery_failures"]`` entry.
+
+    ``total`` counts every sink delivery that raised; ``by_subscription``
+    lists the subscriptions with at least one failure.
+    """
+    by_subscription = {
+        s.subscription_id: s.delivery_failures
+        for s in subscriptions
+        if s.delivery_failures
+    }
+    return {"total": sum(by_subscription.values()), "by_subscription": by_subscription}

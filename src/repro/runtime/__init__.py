@@ -9,7 +9,7 @@ executor, and merges matches, statistics and cost breakdowns back into one
 broker-level view.
 
 * :class:`~repro.runtime.sharded_broker.ShardedBroker` — the drop-in broker
-  (also reachable as ``repro.pubsub.Broker(..., shards=N)``).
+  (what :func:`repro.open_broker` returns for ``shards > 1``).
 * :mod:`~repro.runtime.partition` — hash-by-template and least-loaded
   placement strategies.
 * :mod:`~repro.runtime.executor` — serial (deterministic), thread-pool and

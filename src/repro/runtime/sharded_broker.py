@@ -36,9 +36,8 @@ per shard for a whole batch of documents — routed per document into
 per-shard sub-batches — amortizing executor handoff over the batch; the
 intended path for high-rate streams.
 
-Construction goes through :class:`~repro.config.RuntimeConfig` (the blessed
-entry point is :func:`repro.open_broker` with ``shards > 1``); the
-historical per-knob keyword arguments still work but warn.
+Construction takes a :class:`~repro.config.RuntimeConfig` (the blessed
+entry point is :func:`repro.open_broker` with ``shards > 1``).
 """
 
 from __future__ import annotations
@@ -47,13 +46,18 @@ import pickle
 from time import perf_counter
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.config import RuntimeConfig, coerce_config, metrics_enabled
+from repro.config import RuntimeConfig, config_or_default, metrics_enabled
 from repro.core.engine import EngineStats, make_engine, merge_engine_stats
 from repro.core.results import Match
 from repro.metrics import MetricsRegistry, merge_snapshots
 from repro.pubsub.filters import FilterFrontEnd
 from repro.pubsub.stream import StreamRegistry
-from repro.pubsub.subscription import Callback, Subscription, SubscriptionResult
+from repro.pubsub.subscription import (
+    Callback,
+    Subscription,
+    SubscriptionResult,
+    delivery_failure_stats,
+)
 from repro.runtime.executor import executor_env_override, make_executor
 from repro.runtime.partition import make_partitioner
 from repro.runtime.process import ProcessShardHandle, ShardWorkerGroup
@@ -78,23 +82,12 @@ class ShardedBroker:
         A :class:`~repro.config.RuntimeConfig`; ``shards``, ``partitioner``,
         ``executor``, ``max_workers`` and ``route_dispatch`` select the
         runtime topology, the remaining fields configure every shard engine
-        identically.  The historical keyword arguments are accepted with a
-        :class:`DeprecationWarning`; purely-legacy construction keeps the
-        historical default of two shards.
+        identically.  ``None`` means ``RuntimeConfig()``.
     """
 
-    def __init__(self, config: Union[RuntimeConfig, str, None] = None, **legacy):
-        legacy_default_shards = (
-            not isinstance(config, RuntimeConfig) and legacy.get("shards") is None
-        )
-        config = coerce_config(config, legacy, owner="ShardedBroker")
-        if legacy_default_shards:
-            # Historical signature default: ShardedBroker(...) meant 2 shards.
-            # Applied after coercion so a bare ShardedBroker() does not warn
-            # about keyword arguments the caller never passed.
-            config = config.replace(shards=2)
+    def __init__(self, config: Optional[RuntimeConfig] = None):
+        config = config_or_default(config, "ShardedBroker")
         config.validate_outputs()
-        store_documents = config.resolve_store_documents(follow_construct_outputs=True)
 
         self.config = config
         self.engine_name = config.engine
@@ -105,9 +98,7 @@ class ShardedBroker:
         # so that every shard sees identical timestamps; per-engine
         # auto-stamping would let shard clocks drift on streams mixing
         # stamped and unstamped documents.
-        shard_config = config.replace(
-            auto_timestamp=False, store_documents=store_documents
-        )
+        shard_config = config.replace(auto_timestamp=False)
         # Durable storage: one registry store for the broker plus one state
         # store per shard ("memory" attaches nothing anywhere).
         self.storage, self.storage_path = resolve_storage(config)
@@ -126,7 +117,7 @@ class ShardedBroker:
                 EngineShard(
                     shard_id,
                     make_engine(
-                        config=shard_config,
+                        shard_config,
                         store=open_member_store(
                             self.storage,
                             self.storage_path,
@@ -675,6 +666,7 @@ class ShardedBroker:
             "num_cancelled_subscriptions": sum(
                 1 for s in self._subscriptions.values() if s.cancelled
             ),
+            "delivery_failures": delivery_failure_stats(self._subscriptions.values()),
             "num_documents_published": self._num_published,
             "routing": self._router.stats() if self._router is not None else None,
             "transport": self.transport_stats(),

@@ -5,8 +5,7 @@ session.  It takes a :class:`~repro.config.RuntimeConfig` (or field
 overrides, or nothing) and returns a context-managed broker — the unsharded
 :class:`~repro.pubsub.Broker` or the sharded
 :class:`~repro.runtime.ShardedBroker`, depending on ``config.shards`` —
-making the broker flavor an implementation detail instead of a
-``Broker.__new__`` trick:
+making the broker flavor an implementation detail:
 
 .. code-block:: python
 
@@ -36,9 +35,9 @@ def open_broker(
 
     ``config`` may be a :class:`~repro.config.RuntimeConfig`, an engine
     name string (shorthand for ``RuntimeConfig(engine=...)``), or ``None``
-    for the defaults.  Keyword ``overrides`` are first-class (no
-    deprecation involved) and are applied on top via
-    :meth:`RuntimeConfig.replace` — ``open_broker(shards=4)`` is the
+    for the defaults.  Keyword ``overrides`` are :class:`RuntimeConfig`
+    field names applied on top via :meth:`RuntimeConfig.replace` (so they
+    validate like the config itself) — ``open_broker(shards=4)`` is the
     concise spelling of ``open_broker(RuntimeConfig(shards=4))``.
 
     ``resume_from`` recovers a crashed/closed session from the SQLite

@@ -32,10 +32,14 @@ _ATTR_RE = re.compile(r"\s*([A-Za-z_][\w.\-:]*)\s*=\s*(\"[^\"]*\"|'[^']*')")
 #: does not cover (attributes, children, markup in text) falls back to the
 #: general loop at the exact position the run ended.
 _LEAF_RUN_RE = re.compile(r"(?:\s*<([A-Za-z_][\w.\-:]*+)>[^<]*</\1>)++")
-#: Entity references are decoded in a single pass: ``&amp;quot;`` is one
-#: ``&amp;`` followed by literal ``quot;`` and must decode to ``&quot;``,
-#: never to ``"`` (the sequential str.replace implementation double-decoded).
-_ENTITY_RE = re.compile(r"&(lt|gt|amp|quot|apos);")
+#: Entity and character references are decoded in a single pass:
+#: ``&amp;quot;`` is one ``&amp;`` followed by literal ``quot;`` and must
+#: decode to ``&quot;``, never to ``"`` (the sequential str.replace
+#: implementation double-decoded).  Numeric references (``&#252;``,
+#: ``&#xFC;``) decode to their character when it is an XML ``Char``; any
+#: other reference — unknown names, code points outside Unicode, surrogates,
+#: disallowed control characters — stays verbatim.
+_ENTITY_RE = re.compile(r"&(?:(lt|gt|amp|quot|apos)|#([0-9]+)|#x([0-9A-Fa-f]+));")
 _ENTITY_CHARS = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
 
@@ -43,8 +47,28 @@ class XmlParseError(ValueError):
     """Raised when the input text is not well-formed (for the supported subset)."""
 
 
+def _is_xml_char(code: int) -> bool:
+    """Whether ``code`` is a character the XML ``Char`` production allows."""
+    return (
+        code in (0x9, 0xA, 0xD)
+        or 0x20 <= code <= 0xD7FF
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    )
+
+
 def _entity_char(match: "re.Match[str]") -> str:
-    return _ENTITY_CHARS[match.group(1)]
+    name, decimal, hexadecimal = match.groups()
+    if name is not None:
+        return _ENTITY_CHARS[name]
+    digits, base = (decimal, 10) if decimal is not None else (hexadecimal, 16)
+    digits = digits.lstrip("0")
+    # No Unicode code point needs more than 7 digits; the length check also
+    # keeps int() off arbitrarily long digit runs.
+    if len(digits) > 7:
+        return match.group(0)
+    code = int(digits or "0", base)
+    return chr(code) if _is_xml_char(code) else match.group(0)
 
 
 def _unescape(text: str) -> str:

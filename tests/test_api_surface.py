@@ -7,11 +7,14 @@ never happen by accident.  Every symbol in ``__all__`` must also resolve.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import os
 
 import pytest
 
 import repro
+import repro.config
 import repro.core
 import repro.pubsub
 import repro.runtime
@@ -111,6 +114,19 @@ CORE_ALL = {
     "SequentialEngine",
 }
 
+CONFIG_ALL = {
+    "ENGINES",
+    "INDEXING_MODES",
+    "PARTITIONERS",
+    "EXECUTORS",
+    "STORAGE_BACKENDS",
+    "DURABILITY_MODES",
+    "INGEST_MODES",
+    "RuntimeConfig",
+    "metrics_enabled",
+    "resolve_ingest",
+}
+
 
 @pytest.mark.parametrize(
     "module, expected",
@@ -119,8 +135,9 @@ CORE_ALL = {
         (repro.pubsub, PUBSUB_ALL),
         (repro.runtime, RUNTIME_ALL),
         (repro.core, set(CORE_ALL)),
+        (repro.config, CONFIG_ALL),
     ],
-    ids=["repro", "repro.pubsub", "repro.runtime", "repro.core"],
+    ids=["repro", "repro.pubsub", "repro.runtime", "repro.core", "repro.config"],
 )
 def test_public_symbol_inventory(module, expected):
     actual = set(module.__all__)
@@ -134,8 +151,8 @@ def test_public_symbol_inventory(module, expected):
 
 @pytest.mark.parametrize(
     "module",
-    [repro, repro.pubsub, repro.runtime, repro.core],
-    ids=["repro", "repro.pubsub", "repro.runtime", "repro.core"],
+    [repro, repro.pubsub, repro.runtime, repro.core, repro.config],
+    ids=["repro", "repro.pubsub", "repro.runtime", "repro.core", "repro.config"],
 )
 def test_every_public_symbol_resolves(module):
     for name in module.__all__:
@@ -159,3 +176,37 @@ def test_broker_session_surface():
         for method in ("subscribe", "cancel", "unsubscribe", "mute", "publish",
                        "publish_many", "prune", "stats", "close", "__enter__", "__exit__"):
             assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
+
+
+#: Every constructor and factory from the brokers down to the join
+#: processors: a RuntimeConfig is the only way to set a knob on them.
+CONFIGURED_CALLABLES = [
+    repro.Broker,
+    repro.ShardedBroker,
+    repro.core.make_engine,
+    repro.MMQJPEngine,
+    repro.SequentialEngine,
+    repro.core.MMQJPJoinProcessor,
+    repro.core.SequentialJoinProcessor,
+]
+
+
+@pytest.mark.parametrize(
+    "target", CONFIGURED_CALLABLES, ids=[t.__name__ for t in CONFIGURED_CALLABLES]
+)
+def test_no_constructor_accepts_keyword_knobs(target):
+    function = target.__init__ if inspect.isclass(target) else target
+    params = inspect.signature(function).parameters
+    assert "config" in params
+    kinds = {p.kind for p in params.values()}
+    assert inspect.Parameter.VAR_KEYWORD not in kinds, f"{target.__name__} takes **kwargs"
+    assert inspect.Parameter.VAR_POSITIONAL not in kinds, f"{target.__name__} takes *args"
+    knobs = {f.name for f in dataclasses.fields(repro.RuntimeConfig)}
+    assert not knobs & (set(params) - {"config"}), f"{target.__name__} takes a knob"
+    if inspect.isclass(target):
+        assert target.__new__ is object.__new__, f"{target.__name__} overrides __new__"
+
+
+def test_legacy_config_shim_is_gone():
+    assert "coerce_config" not in repro.config.__all__
+    assert not hasattr(repro.config, "coerce_config")

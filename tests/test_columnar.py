@@ -416,9 +416,9 @@ def test_processor_and_engine_thread_the_knob(monkeypatch):
     monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
     from repro.templates.registry import TemplateRegistry
 
-    proc = MMQJPJoinProcessor(TemplateRegistry(), columnar=True)
+    proc = MMQJPJoinProcessor(TemplateRegistry(), config=RuntimeConfig(columnar=True))
     assert proc.columnar is True and proc.env.columnar is True
-    proc_off = MMQJPJoinProcessor(TemplateRegistry(), columnar=False)
+    proc_off = MMQJPJoinProcessor(TemplateRegistry(), config=RuntimeConfig(columnar=False))
     assert proc_off.columnar is False and proc_off.env.columnar is False
     seq = SequentialJoinProcessor(config=RuntimeConfig(columnar=False))
     assert seq.columnar is False
@@ -433,8 +433,10 @@ def test_repro_columnar_env_downgrades_default_only(monkeypatch):
     monkeypatch.setenv("REPRO_COLUMNAR", "0")
     defaulted = MMQJPJoinProcessor(TemplateRegistry())
     assert defaulted.columnar is False  # default resolution downgraded
-    explicit = MMQJPJoinProcessor(TemplateRegistry(), columnar=True)
-    assert explicit.columnar is True  # explicit knob always wins
+    assert SequentialJoinProcessor(config=RuntimeConfig()).columnar is False
+    monkeypatch.setenv("REPRO_COLUMNAR", "1")  # only "0" downgrades; nothing upgrades
+    off = MMQJPJoinProcessor(TemplateRegistry(), config=RuntimeConfig(columnar=False))
+    assert off.columnar is False
     monkeypatch.delenv("REPRO_COLUMNAR")
     assert MMQJPJoinProcessor(TemplateRegistry()).columnar is True
 

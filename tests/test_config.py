@@ -1,4 +1,4 @@
-"""RuntimeConfig: validation, presets, façade routing, and legacy-kwarg shims."""
+"""RuntimeConfig: validation, presets, façade routing, and the one-config constructors."""
 
 from __future__ import annotations
 
@@ -10,16 +10,8 @@ from repro.config import (
     EXECUTORS,
     INDEXING_MODES,
     PARTITIONERS,
-    coerce_config,
 )
-from repro.core.engine import make_engine
-from tests.conftest import PAPER_WINDOWS, make_blog_article, make_book_announcement
-
-CROSS = (
-    "S//book->x1[.//author->x2] "
-    "FOLLOWED BY{x2=x5, 100} "
-    "S//blog->x4[.//author->x5]"
-)
+from repro.core.engine import MMQJPEngine, SequentialEngine, make_engine
 
 
 # --------------------------------------------------------------------------- #
@@ -30,7 +22,6 @@ def test_config_defaults_are_valid():
     assert config.engine == "mmqjp"
     assert not config.is_sharded
     assert config.resolve_store_documents() is True
-    assert config.resolve_store_documents(follow_construct_outputs=True) is True
 
 
 @pytest.mark.parametrize(
@@ -69,10 +60,9 @@ def test_config_keyword_tuples_match_canonical_definitions():
 
 def test_store_documents_resolution_rules():
     throughput = RuntimeConfig(construct_outputs=False)
-    assert throughput.resolve_store_documents() is True  # engines / Broker
-    assert throughput.resolve_store_documents(follow_construct_outputs=True) is False
+    assert throughput.resolve_store_documents() is False
     explicit = RuntimeConfig(construct_outputs=False, store_documents=True)
-    assert explicit.resolve_store_documents(follow_construct_outputs=True) is True
+    assert explicit.resolve_store_documents() is True
     with pytest.raises(ValueError):
         RuntimeConfig(store_documents=False).validate_outputs()
 
@@ -94,30 +84,6 @@ def test_replace_revalidates():
     assert config.replace(shards=4).shards == 4
     with pytest.raises(ValueError):
         config.replace(engine="turbo")
-
-
-# --------------------------------------------------------------------------- #
-# coerce_config: the deprecation shim
-# --------------------------------------------------------------------------- #
-def test_coerce_config_warns_on_legacy_kwargs():
-    with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-        config = coerce_config(None, {"engine": "sequential", "indexing": "lazy"})
-    assert config.engine == "sequential" and config.indexing == "lazy"
-
-
-def test_coerce_config_accepts_engine_string_positionally():
-    config = coerce_config("mmqjp-vm", {}, warn=False)
-    assert config.engine == "mmqjp-vm"
-
-
-def test_coerce_config_rejects_unknown_kwargs():
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        coerce_config(None, {"warp_speed": True})
-
-
-def test_coerce_config_none_values_mean_unset():
-    config = coerce_config(None, {"view_cache_size": None, "shards": None}, warn=False)
-    assert config == RuntimeConfig()
 
 
 # --------------------------------------------------------------------------- #
@@ -147,68 +113,47 @@ def test_open_broker_overrides_are_first_class():
 
 
 # --------------------------------------------------------------------------- #
-# legacy construction: warns, but behaves identically
+# one way to configure: every constructor takes a RuntimeConfig
 # --------------------------------------------------------------------------- #
-def _run_workload(broker):
-    keys = []
-    broker.subscribe(CROSS, subscription_id="q")
-    for ts in (1.0, 2.0):
-        for d in broker.publish(
-            make_book_announcement(docid=f"bk{ts}", timestamp=ts * 10)
-        ):
-            pass
-        for d in broker.publish(
-            make_blog_article(docid=f"bl{ts}", timestamp=ts * 10 + 1)
-        ):
-            if d.match is not None:
-                keys.append(d.match.key())
-    broker.close()
-    return sorted(keys)
+def test_unknown_config_fields_raise_type_error():
+    with pytest.raises(TypeError):
+        RuntimeConfig(warp_speed=True)
 
 
-@pytest.mark.parametrize("engine", ["mmqjp", "sequential"])
-def test_legacy_broker_kwargs_equivalent_to_config(engine):
-    with pytest.warns(DeprecationWarning):
-        legacy = Broker(
-            engine=engine, construct_outputs=False, indexing="lazy", auto_timestamp=False
-        )
-    config_broker = open_broker(
-        RuntimeConfig(
-            engine=engine, construct_outputs=False, indexing="lazy", auto_timestamp=False
-        )
-    )
-    legacy_keys = _run_workload(legacy)
-    assert legacy_keys == _run_workload(config_broker)
-    assert legacy_keys, "the equivalence workload must produce matches"
+@pytest.mark.parametrize(
+    "construct", [Broker, ShardedBroker, MMQJPEngine, SequentialEngine, make_engine]
+)
+def test_constructors_reject_the_engine_name_shorthand(construct):
+    with pytest.raises(TypeError, match="RuntimeConfig"):
+        construct("sequential")
 
 
-def test_legacy_sharded_kwargs_equivalent_to_config():
-    with pytest.warns(DeprecationWarning):
-        legacy = ShardedBroker(engine="mmqjp", construct_outputs=False, shards=2)
-    config_broker = open_broker(RuntimeConfig(construct_outputs=False, shards=2))
-    assert _run_workload(legacy) == _run_workload(config_broker)
+def test_broker_refuses_shards():
+    with pytest.raises(ValueError, match="open_broker"):
+        Broker(RuntimeConfig(shards=2))
 
 
-def test_broker_shards_escape_hatch_warns_and_reroutes():
-    with pytest.warns(DeprecationWarning, match="open_broker"):
-        broker = Broker(RuntimeConfig(shards=2))
-    assert isinstance(broker, ShardedBroker)
-    broker.close()
-    with pytest.warns(DeprecationWarning):
-        broker = Broker(shards=2)
-    assert isinstance(broker, ShardedBroker)
-    broker.close()
+def test_sharded_broker_default_is_one_shard():
+    with ShardedBroker() as broker:
+        assert broker.num_shards == 1
 
 
-def test_make_engine_accepts_config_and_legacy():
-    config = RuntimeConfig(engine="sequential", indexing="off")
-    engine = make_engine(config)
+def test_make_engine_accepts_config():
+    engine = make_engine(RuntimeConfig(engine="sequential", indexing="off"))
+    assert isinstance(engine, SequentialEngine)
     assert engine.indexing == "off"
-    with pytest.warns(DeprecationWarning):
-        legacy = make_engine("sequential", indexing="off")
-    assert legacy.indexing == "off"
-    # the selection keyword overrides the config's engine field
-    assert make_engine("mmqjp-vm", RuntimeConfig()).processor.use_view_materialization
+    assert make_engine(RuntimeConfig(engine="mmqjp-vm")).processor.use_view_materialization
+    assert not make_engine(RuntimeConfig()).processor.use_view_materialization
+
+
+def test_view_materialization_follows_the_engine_name_only():
+    # A view cache size alone does not turn view materialization on: the
+    # engine constructor and make_engine apply the same rule.
+    sized = RuntimeConfig(view_cache_size=8)
+    assert not MMQJPEngine(sized).processor.use_view_materialization
+    assert not make_engine(sized).processor.use_view_materialization
+    vm = MMQJPEngine(sized.replace(engine="mmqjp-vm")).processor
+    assert vm.use_view_materialization and vm.view_cache is not None
 
 
 def test_engines_carry_their_config():

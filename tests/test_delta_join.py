@@ -210,9 +210,9 @@ def test_engines_expose_delta_join_knob():
 def test_processor_accepts_explicit_delta_join_knob():
     from repro.templates.registry import TemplateRegistry
 
-    processor = MMQJPJoinProcessor(TemplateRegistry(), delta_join=False)
+    processor = MMQJPJoinProcessor(TemplateRegistry(), config=RuntimeConfig(delta_join=False))
     assert processor.delta_join is False
-    sequential = SequentialJoinProcessor(delta_join=False)
+    sequential = SequentialJoinProcessor(config=RuntimeConfig(delta_join=False))
     assert sequential.delta_join is False
     # Config fills the knob when it is not given explicitly.
     configured = SequentialJoinProcessor(config=RuntimeConfig(delta_join=False))

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.config import RuntimeConfig
 from repro.core import MMQJPEngine, SequentialEngine
 from repro.workloads.querygen import QueryWorkloadConfig, generate_queries
 from repro.workloads.rss import RssStreamConfig, generate_rss_queries, generate_rss_stream
@@ -49,10 +50,14 @@ def test_equivalence_on_flat_schema_stream(seed):
         QueryWorkloadConfig(schema=schema, num_queries=40, zipf_theta=0.8, window=3.0, seed=seed)
     )
     mmqjp_keys = _match_keys(
-        MMQJPEngine(store_documents=False), queries, _random_documents(schema, 8, 3, seed)
+        MMQJPEngine(RuntimeConfig(
+            store_documents=False,
+        )), queries, _random_documents(schema, 8, 3, seed)
     )
     seq_keys = _match_keys(
-        SequentialEngine(store_documents=False), queries, _random_documents(schema, 8, 3, seed)
+        SequentialEngine(RuntimeConfig(
+            store_documents=False,
+        )), queries, _random_documents(schema, 8, 3, seed)
     )
     assert mmqjp_keys == seq_keys
     assert mmqjp_keys  # the workload is dense enough that something matches
@@ -67,8 +72,12 @@ def test_equivalence_on_complex_schema_stream(seed):
         )
     )
     documents = _random_documents(schema, 6, 2, seed)
-    mmqjp_keys = _match_keys(MMQJPEngine(store_documents=False), queries, _random_documents(schema, 6, 2, seed))
-    seq_keys = _match_keys(SequentialEngine(store_documents=False), queries, documents)
+    mmqjp_keys = _match_keys(MMQJPEngine(RuntimeConfig(
+        store_documents=False,
+    )), queries, _random_documents(schema, 6, 2, seed))
+    seq_keys = _match_keys(SequentialEngine(RuntimeConfig(
+        store_documents=False,
+    )), queries, documents)
     assert mmqjp_keys == seq_keys
 
 
@@ -78,15 +87,17 @@ def test_equivalence_of_view_materialization_variants():
         QueryWorkloadConfig(schema=schema, num_queries=30, zipf_theta=0.4, window=4.0, seed=9)
     )
     plain = _match_keys(
-        MMQJPEngine(store_documents=False), queries, _random_documents(schema, 8, 3, 9)
+        MMQJPEngine(RuntimeConfig(
+            store_documents=False,
+        )), queries, _random_documents(schema, 8, 3, 9)
     )
     vm = _match_keys(
-        MMQJPEngine(use_view_materialization=True, store_documents=False),
+        MMQJPEngine(RuntimeConfig(engine="mmqjp-vm", store_documents=False)),
         queries,
         _random_documents(schema, 8, 3, 9),
     )
     vm_cached = _match_keys(
-        MMQJPEngine(view_cache_size=32, store_documents=False),
+        MMQJPEngine(RuntimeConfig(engine="mmqjp-vm", view_cache_size=32, store_documents=False)),
         queries,
         _random_documents(schema, 8, 3, 9),
     )
@@ -111,8 +122,10 @@ def test_equivalence_on_rss_stream():
             keys.update(m.key() for m in engine.process_document(doc))
         return keys
 
-    mmqjp = run(MMQJPEngine(store_documents=False, auto_timestamp=False))
-    vm = run(MMQJPEngine(use_view_materialization=True, store_documents=False, auto_timestamp=False))
-    seq = run(SequentialEngine(store_documents=False, auto_timestamp=False))
+    mmqjp = run(MMQJPEngine(RuntimeConfig(store_documents=False, auto_timestamp=False)))
+    vm = run(MMQJPEngine(RuntimeConfig(
+        engine="mmqjp-vm", store_documents=False, auto_timestamp=False,
+    )))
+    seq = run(SequentialEngine(RuntimeConfig(store_documents=False, auto_timestamp=False)))
     assert mmqjp == vm == seq
     assert mmqjp  # channel_url collisions guarantee matches

@@ -21,6 +21,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import RuntimeConfig
 from repro.core import JoinState, MMQJPEngine, SequentialEngine
 from repro.pubsub import Broker
 from repro.relational import (
@@ -301,17 +302,17 @@ def _replay_broker(broker, ops):
 @settings(max_examples=12, deadline=None)
 def test_interleavings_equal_across_modes_and_engines(ops):
     reference = _replay_engine(
-        MMQJPEngine(store_documents=False, auto_prune=False, indexing="off"), ops
+        MMQJPEngine(RuntimeConfig(store_documents=False, auto_prune=False, indexing="off")), ops
     )
     for indexing in ("eager", "lazy"):
         for engine_cls in (MMQJPEngine, SequentialEngine):
-            engine = engine_cls(
+            engine = engine_cls(RuntimeConfig(
                 store_documents=False, auto_prune=False, indexing=indexing
-            )
+            ))
             assert _replay_engine(engine, ops) == reference
-    sequential_off = SequentialEngine(
-        store_documents=False, auto_prune=False, indexing="off"
-    )
+    sequential_off = SequentialEngine(RuntimeConfig(
+        store_documents=False, auto_prune=False, indexing="off",
+    ))
     assert _replay_engine(sequential_off, ops) == reference
 
 
@@ -325,13 +326,13 @@ def test_interleavings_equal_under_sharded_broker(ops):
     # captured them) — that is a property of sharding, not of indexing.
     ops = sorted(ops, key=lambda op: op[0] != "query")
     reference = _replay_broker(
-        Broker(construct_outputs=False, auto_prune=False, indexing="off"), ops
+        Broker(RuntimeConfig(construct_outputs=False, auto_prune=False, indexing="off")), ops
     )
     for shards in (2, 4):
         for indexing in ("eager", "lazy", "off"):
-            broker = ShardedBroker(
-                construct_outputs=False, auto_prune=False, shards=shards, indexing=indexing
-            )
+            broker = ShardedBroker(RuntimeConfig(
+                construct_outputs=False, auto_prune=False, shards=shards, indexing=indexing,
+            ))
             assert _replay_broker(broker, ops) == reference
 
 
@@ -352,7 +353,7 @@ def test_auto_prune_equivalence_across_modes():
 
     results = {}
     for indexing in ("eager", "lazy", "off"):
-        engine = MMQJPEngine(store_documents=False, indexing=indexing)
+        engine = MMQJPEngine(RuntimeConfig(store_documents=False, indexing=indexing))
         for i, q in enumerate(queries):
             engine.register_query(q, qid=f"q{i}")
         keys = set()

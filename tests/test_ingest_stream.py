@@ -52,6 +52,11 @@ _text = st.sampled_from(
 # Miscellaneous constructs legal inside element content (processing
 # instructions are prolog-only for both parsers).
 _misc = st.sampled_from(["", "<!-- a comment -->", "<![CDATA[raw <&> text]]>"])
+# Raw character references: decodable ones and ones that must stay verbatim
+# (outside Unicode, NUL, a surrogate, an escaped "&").
+_charref = st.sampled_from(
+    ["", "&#252;", "&#xFC;", "&#x1F600;", "&#1114112;", "&#0;", "&#xD800;", "&amp;#252;"]
+)
 _prolog = st.sampled_from(
     ["", '<?xml version="1.0"?>', "<!-- lead -->", "<?pi data?>", "<!DOCTYPE a>"]
 )
@@ -75,7 +80,13 @@ def xml_text(draw, depth: int = 0) -> str:
         if depth >= 2
         else draw(st.lists(xml_text(depth=depth + 1), max_size=3))
     )
-    body = draw(_misc) + _escape(draw(_text)) + "".join(children) + draw(_misc)
+    body = (
+        draw(_misc)
+        + _escape(draw(_text))
+        + draw(_charref)
+        + "".join(children)
+        + draw(_misc)
+    )
     element = f"<{tag}{rendered_attrs}>{body}</{tag}>"
     if depth == 0:
         element = draw(_prolog) + element + draw(st.sampled_from(["", "<!-- tail -->"]))
@@ -237,6 +248,18 @@ def test_join_fires_on_stream_fast_path():
     assert deliveries[0].subscription_id == sub.subscription_id
 
 
+@pytest.mark.parametrize("ingest", ["stream", "tree"])
+def test_character_reference_joins_its_decoded_value(ingest):
+    broker = Broker(_throughput_config(ingest))
+    broker.subscribe(PAPER_Q1.replace("T1", "100"))
+    book = to_xml(make_book_announcement(), pretty=False)
+    blog = to_xml(make_blog_article(author="Hütter"), pretty=False)
+    assert "Danny Ayers" in book
+    book = book.replace("Danny Ayers", "H&#252;tter", 1)
+    assert broker.publish(book, timestamp=1.0) == []
+    assert len(broker.publish(blog, timestamp=2.0)) == 1
+
+
 # --------------------------------------------------------------------- #
 # knob plumbing and eligibility
 # --------------------------------------------------------------------- #
@@ -333,3 +356,22 @@ def test_timestamp_semantics_match_tree_path():
                 )
             keys[ingest] = _match_keys(deliveries)
         assert keys["stream"] == keys["tree"], stamps
+
+
+def test_outputs_off_takes_the_fast_path_without_store_documents(monkeypatch):
+    # store_documents=None follows construct_outputs on every broker, so an
+    # unsharded throughput broker needs no explicit store_documents=False
+    # to skip tree construction.
+    def boom(*args, **kwargs):
+        raise AssertionError("tree parser called on the streaming fast path")
+
+    monkeypatch.setattr("repro.pubsub.broker.parse_document", boom)
+    monkeypatch.setattr("repro.core.engine.parse_document", boom)
+    broker = Broker(RuntimeConfig(construct_outputs=False))
+    assert broker.engine.store_documents is False
+    broker.subscribe(PAPER_Q1.replace("T1", "100"))
+    broker.publish(to_xml(make_book_announcement(), pretty=False), timestamp=1.0)
+    deliveries = broker.publish(
+        to_xml(make_blog_article(), pretty=False), timestamp=2.0
+    )
+    assert len(deliveries) == 1

@@ -71,8 +71,8 @@ def _run(engine, queries, doc_specs):
 @settings(max_examples=25, deadline=None)
 def test_mmqjp_equivalent_to_sequential(q_specs, d_specs):
     queries = _make_queries(q_specs)
-    mmqjp = _run(MMQJPEngine(store_documents=False), queries, d_specs)
-    sequential = _run(SequentialEngine(store_documents=False), queries, d_specs)
+    mmqjp = _run(MMQJPEngine(RuntimeConfig(store_documents=False)), queries, d_specs)
+    sequential = _run(SequentialEngine(RuntimeConfig(store_documents=False)), queries, d_specs)
     assert mmqjp == sequential
 
 
@@ -80,9 +80,9 @@ def test_mmqjp_equivalent_to_sequential(q_specs, d_specs):
 @settings(max_examples=15, deadline=None)
 def test_view_materialization_equivalent_to_plain(q_specs, d_specs):
     queries = _make_queries(q_specs)
-    plain = _run(MMQJPEngine(store_documents=False), queries, d_specs)
+    plain = _run(MMQJPEngine(RuntimeConfig(store_documents=False)), queries, d_specs)
     materialized = _run(
-        MMQJPEngine(use_view_materialization=True, view_cache_size=16, store_documents=False),
+        MMQJPEngine(RuntimeConfig(engine="mmqjp-vm", view_cache_size=16, store_documents=False)),
         queries,
         d_specs,
     )
@@ -93,7 +93,7 @@ def test_view_materialization_equivalent_to_plain(q_specs, d_specs):
 @settings(max_examples=15, deadline=None)
 def test_matches_respect_window_and_order(q_specs, d_specs):
     queries = _make_queries(q_specs)
-    engine = MMQJPEngine(store_documents=False)
+    engine = MMQJPEngine(RuntimeConfig(store_documents=False))
     for i, query in enumerate(queries):
         engine.register_query(query, qid=f"q{i}")
     for document in _make_documents(d_specs):
@@ -108,7 +108,7 @@ def test_matches_respect_window_and_order(q_specs, d_specs):
 def test_template_count_bounded_by_schema(q_specs):
     """The Figure 17 workload creates at most one template per value-join count."""
     queries = _make_queries(q_specs)
-    engine = MMQJPEngine(store_documents=False)
+    engine = MMQJPEngine(RuntimeConfig(store_documents=False))
     for i, query in enumerate(queries):
         engine.register_query(query, qid=f"q{i}")
     assert engine.num_templates <= SCHEMA.num_leaves
@@ -275,7 +275,7 @@ def test_duplicate_queries_share_templates(leaf_tags):
         right=QueryBlock(simple_pattern("S", "v_root", "//item", dict(leaves))),
         join=JoinSpec(JoinOperator.FOLLOWED_BY, predicates, 5.0),
     )
-    engine = MMQJPEngine(store_documents=False)
+    engine = MMQJPEngine(RuntimeConfig(store_documents=False))
     engine.register_query(query, qid="first")
     engine.register_query(query, qid="second")
     assert engine.num_templates == 1

@@ -270,15 +270,3 @@ def test_plan_for_shares_cache_with_evaluate():
     cache.evaluate(CQ, env)
     assert cache.stats()["plans"] == 1
     assert cache.hits == 2 and cache.misses == 1
-
-
-def test_processors_accept_preconfigured_plan_cache():
-    from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
-    from repro.templates.registry import TemplateRegistry
-
-    cache = PlanCache(growth_limit=10)
-    processor = MMQJPJoinProcessor(TemplateRegistry(), plan_cache=cache)
-    assert processor.plan_cache is cache
-    sequential = SequentialJoinProcessor(plan_cache=cache)
-    assert sequential.plan_cache is cache
-    assert MMQJPJoinProcessor(TemplateRegistry(), plan_cache=False).plan_cache is None

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import RuntimeConfig
+from repro.session import open_broker
 from repro.core import EngineStats, CostBreakdown, SequentialEngine, merge_engine_stats
 from repro.pubsub import Broker
 from repro.runtime import (
@@ -161,7 +163,7 @@ def test_make_executor_validation():
 def rss_baseline(rss_workload):
     queries, documents = rss_workload
     keys = _broker_match_keys(
-        Broker(engine="mmqjp", construct_outputs=False), queries, documents
+        Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False)), queries, documents
     )
     assert keys  # the workload is dense enough that something matches
     return keys
@@ -172,20 +174,20 @@ def rss_baseline(rss_workload):
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_equivalence_on_rss(shards, partitioner, executor, rss_workload, rss_baseline):
     queries, documents = rss_workload
-    with ShardedBroker(
+    with ShardedBroker(RuntimeConfig(
         engine="mmqjp",
         construct_outputs=False,
         shards=shards,
         partitioner=partitioner,
         executor=executor,
-    ) as broker:
+    )) as broker:
         keys = _broker_match_keys(broker, queries, documents)
     assert keys == rss_baseline
 
 
 def test_sharded_equivalence_vs_sequential_on_rss(rss_workload, rss_baseline):
     queries, documents = rss_workload
-    engine = SequentialEngine(store_documents=False, auto_timestamp=False)
+    engine = SequentialEngine(RuntimeConfig(store_documents=False, auto_timestamp=False))
     for i, query in enumerate(queries):
         engine.register_query(query, qid=f"q{i}")
     keys = sorted(
@@ -202,11 +204,11 @@ def test_sharded_equivalence_vs_sequential_on_rss(rss_workload, rss_baseline):
 def test_sharded_equivalence_on_synthetic(shards, engine, synthetic_workload):
     queries, make_documents = synthetic_workload
     baseline = _broker_match_keys(
-        Broker(engine=engine, construct_outputs=False), queries, make_documents()
+        Broker(RuntimeConfig(engine=engine, construct_outputs=False)), queries, make_documents()
     )
-    with ShardedBroker(
-        engine=engine, construct_outputs=False, shards=shards, executor="threads"
-    ) as broker:
+    with ShardedBroker(RuntimeConfig(
+        engine=engine, construct_outputs=False, shards=shards, executor="threads",
+    )) as broker:
         keys = _broker_match_keys(broker, queries, make_documents())
     assert keys == baseline
     assert keys
@@ -214,8 +216,8 @@ def test_sharded_equivalence_on_synthetic(shards, engine, synthetic_workload):
 
 def test_publish_many_equals_publish_loop(rss_workload):
     queries, documents = rss_workload
-    batched = ShardedBroker(engine="mmqjp", construct_outputs=False, shards=3)
-    looped = ShardedBroker(engine="mmqjp", construct_outputs=False, shards=3)
+    batched = ShardedBroker(RuntimeConfig(engine="mmqjp", construct_outputs=False, shards=3))
+    looped = ShardedBroker(RuntimeConfig(engine="mmqjp", construct_outputs=False, shards=3))
     for i, query in enumerate(queries):
         batched.subscribe(query, subscription_id=f"q{i}")
         looped.subscribe(query, subscription_id=f"q{i}")
@@ -228,27 +230,31 @@ def test_publish_many_equals_publish_loop(rss_workload):
 # broker behaviour: escape hatch, outputs, filters, timestamps
 # --------------------------------------------------------------------------- #
 def test_broker_shards_escape_hatch():
-    broker = Broker(engine="mmqjp", shards=3, executor="serial")
-    assert isinstance(broker, ShardedBroker)
-    assert broker.num_shards == 3
-    assert broker.engine_name == "mmqjp"
-    # shards=1 (or omitted) stays a plain Broker
-    assert isinstance(Broker(shards=1), Broker)
+    # open_broker is the router: shards > 1 selects the sharded runtime.
+    config = RuntimeConfig(engine="mmqjp", shards=3, executor="serial")
+    with open_broker(config) as broker:
+        assert isinstance(broker, ShardedBroker)
+        assert broker.num_shards == 3
+        assert broker.engine_name == "mmqjp"
+    # shards=1 (or omitted) is a plain Broker
+    assert isinstance(Broker(RuntimeConfig(shards=1)), Broker)
     assert isinstance(Broker(), Broker)
     with pytest.raises(ValueError):
-        Broker(shards=0)
+        Broker(RuntimeConfig(shards=0))
 
-    # Subclasses don't get rerouted by __new__; they must fail loudly rather
-    # than silently dropping shards=N onto a single engine.
+    # Broker itself (and any subclass) fails loudly rather than silently
+    # dropping shards=N onto a single engine.
     class MyBroker(Broker):
         pass
 
+    with pytest.raises(ValueError, match="open_broker"):
+        Broker(config)
     with pytest.raises(ValueError):
-        MyBroker(shards=4)
+        MyBroker(RuntimeConfig(shards=4))
 
 
 def test_sharded_broker_constructs_outputs():
-    with ShardedBroker(shards=2) as broker:
+    with ShardedBroker(RuntimeConfig(shards=2)) as broker:
         broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS, subscription_id="q1")
         from tests.conftest import make_book_announcement
 
@@ -260,7 +266,7 @@ def test_sharded_broker_constructs_outputs():
 
 
 def test_sharded_broker_filter_subscriptions():
-    with ShardedBroker(shards=2) as broker:
+    with ShardedBroker(RuntimeConfig(shards=2)) as broker:
         hits = []
         broker.subscribe("S//blog->b[.//author->a]", callback=hits.append)
         broker.subscribe(CROSS_POST, subscription_id="join")
@@ -271,7 +277,7 @@ def test_sharded_broker_filter_subscriptions():
 
 
 def test_sharded_broker_unsubscribe_and_lookup():
-    with ShardedBroker(shards=2) as broker:
+    with ShardedBroker(RuntimeConfig(shards=2)) as broker:
         sub = broker.subscribe(CROSS_POST)
         assert broker.subscription(sub.subscription_id) is sub
         assert broker.subscriptions == [sub]
@@ -284,7 +290,7 @@ def test_sharded_broker_unsubscribe_and_lookup():
 
 
 def test_sharded_broker_central_auto_timestamping():
-    with ShardedBroker(shards=2) as broker:
+    with ShardedBroker(RuntimeConfig(shards=2)) as broker:
         broker.subscribe(CROSS_POST)
         broker.publish("<blog><author>A</author><title>T</title></blog>")
         deliveries = broker.publish("<blog><author>A</author><title>T</title></blog>")
@@ -295,11 +301,11 @@ def test_sharded_broker_central_auto_timestamping():
 
 def test_sharded_broker_validation():
     with pytest.raises(ValueError):
-        ShardedBroker(shards=0)
+        ShardedBroker(RuntimeConfig(shards=0))
     with pytest.raises(ValueError):
-        ShardedBroker(construct_outputs=True, store_documents=False)
+        ShardedBroker(RuntimeConfig(construct_outputs=True, store_documents=False, shards=2))
     with pytest.raises(ValueError):
-        ShardedBroker(engine="turbo")
+        ShardedBroker(RuntimeConfig(engine="turbo", shards=2))
 
 
 # --------------------------------------------------------------------------- #
@@ -312,14 +318,14 @@ def _publish_windowed_stream(broker, n=30):
 
 
 def test_broker_auto_prunes_finite_window_state():
-    broker = Broker(engine="mmqjp", construct_outputs=False)
+    broker = Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False))
     _publish_windowed_stream(broker)
     # Horizon is 10 time units; the state must not retain all 30 documents.
     assert broker.stats()["engine_stats"]["state_documents"] <= 12
 
 
 def test_broker_auto_prune_opt_out_and_manual_prune():
-    broker = Broker(engine="mmqjp", construct_outputs=False, auto_prune=False)
+    broker = Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False, auto_prune=False))
     _publish_windowed_stream(broker)
     assert broker.stats()["engine_stats"]["state_documents"] == 30
     removed = broker.prune(min_timestamp=21.0)
@@ -328,14 +334,14 @@ def test_broker_auto_prune_opt_out_and_manual_prune():
 
 
 def test_sharded_broker_prunes_like_unsharded():
-    with ShardedBroker(engine="mmqjp", construct_outputs=False, shards=2) as broker:
+    with ShardedBroker(RuntimeConfig(engine="mmqjp", construct_outputs=False, shards=2)) as broker:
         _publish_windowed_stream(broker)
         merged = broker.merged_engine_stats()
         assert merged.state_documents <= 12
 
-    with ShardedBroker(
-        engine="mmqjp", construct_outputs=False, shards=2, auto_prune=False
-    ) as broker:
+    with ShardedBroker(RuntimeConfig(
+        engine="mmqjp", construct_outputs=False, shards=2, auto_prune=False,
+    )) as broker:
         _publish_windowed_stream(broker)
         assert broker.merged_engine_stats().state_documents == 30
         assert broker.prune(min_timestamp=21.0) > 0
@@ -369,7 +375,7 @@ def test_cost_breakdown_combined():
 
 def test_sharded_broker_stats_shape(rss_workload):
     queries, documents = rss_workload
-    with ShardedBroker(engine="mmqjp", construct_outputs=False, shards=4) as broker:
+    with ShardedBroker(RuntimeConfig(engine="mmqjp", construct_outputs=False, shards=4)) as broker:
         for i, query in enumerate(queries):
             broker.subscribe(query, subscription_id=f"q{i}")
         broker.publish_many(documents)
@@ -396,7 +402,7 @@ def test_sharded_broker_stats_shape(rss_workload):
 def test_engine_shard_repr_and_counts():
     from repro.core import MMQJPEngine
 
-    shard = EngineShard(1, MMQJPEngine(store_documents=False))
+    shard = EngineShard(1, MMQJPEngine(RuntimeConfig(store_documents=False)))
     shard.register("q0", parse_query(CROSS_POST))
     assert shard.num_queries == 1
     assert "queries=1" in repr(shard)

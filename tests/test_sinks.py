@@ -234,3 +234,37 @@ def test_cancel_survives_a_raising_sink(shards):
         assert len(collecting.results) == 1
     finally:
         broker.close()
+
+
+# --------------------------------------------------------------------------- #
+# fault isolation: a raising consumer cannot starve the others
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "shards, executor", [(1, "serial"), (2, "serial"), (2, "processes")]
+)
+def test_a_raising_callback_does_not_starve_other_subscribers(shards, executor):
+    def explode(result):
+        raise RuntimeError("subscriber bug")
+
+    config = RuntimeConfig(construct_outputs=False, shards=shards, executor=executor)
+    with open_broker(config) as broker:
+        bad = broker.subscribe(CROSS, subscription_id="bad", callback=explode)
+        good_sink = CollectingSink()
+        broker.subscribe(CROSS, subscription_id="good", sink=good_sink)
+        bad_filter = broker.subscribe(
+            "S//blog->b[.//author->a]", subscription_id="bad-filter", callback=explode
+        )
+        for i in range(3):
+            broker.publish(make_book_announcement(docid=f"bk{i}", timestamp=200.0 * i + 1))
+            deliveries = broker.publish(
+                make_blog_article(docid=f"bl{i}", timestamp=200.0 * i + 2)
+            )
+            assert {d.subscription_id for d in deliveries} >= {"bad", "good", "bad-filter"}
+        assert len(good_sink.results) == 3
+        # The failing subscriptions' other sinks (the bounded collector)
+        # still received every result.
+        assert bad.num_results == 3 and bad_filter.num_results == 3
+        assert bad.delivery_failures == 3
+        assert isinstance(bad.last_delivery_error, RuntimeError)
+        failures = broker.stats()["delivery_failures"]
+        assert failures == {"total": 6, "by_subscription": {"bad": 3, "bad-filter": 3}}

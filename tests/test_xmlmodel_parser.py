@@ -134,6 +134,21 @@ def test_parse_unknown_entity_left_verbatim():
     assert node.text == "&copy; & &nosuch;"
 
 
+def test_parse_numeric_character_references():
+    assert parse_node("<t>H&#252;tter</t>").text == "Hütter"
+    assert parse_node("<t>H&#xFC;tter &#x1F600;</t>").text == "Hütter \U0001F600"
+    assert parse_node('<t a="H&#xfc;tter"/>').attributes["a"] == "Hütter"
+    # single pass: an escaped "&" never starts a reference
+    assert parse_node("<t>&amp;#252;</t>").text == "&#252;"
+
+
+def test_parse_undecodable_character_references_left_verbatim():
+    # Outside Unicode, NUL, a surrogate, and a digit run too long to be a
+    # code point: like unknown entities, they pass through undecoded.
+    text = "&#1114112; &#x110000; &#0; &#xD800; &#" + "9" * 5000 + ";"
+    assert parse_node(f"<t>{text}</t>").text == text
+
+
 def test_entity_roundtrip_through_serializer():
     doc = parse_document("<t>&amp;quot; &lt;tag&gt;</t>")
     assert doc.root.text == "&quot; <tag>"
