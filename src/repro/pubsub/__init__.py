@@ -3,11 +3,12 @@
 This is the user-facing face of the system: publishers push XML documents
 into named streams, subscribers register XSCL queries (simple single-block
 filters or inter-document join queries) and receive matches through
-callbacks.  Internally the broker delegates join queries to one of the Stage
-2 engines (:class:`~repro.core.engine.MMQJPEngine` by default).
-:func:`repro.open_broker` with ``shards=N`` (N > 1) returns a
-:class:`repro.runtime.ShardedBroker` running N engine shards in parallel
-instead.
+callbacks.  Subscriptions, delivery, stats and the session lifecycle live
+once, in :class:`repro.pubsub.broker.BrokerFrontEnd`; :class:`Broker`
+builds on it with one Stage 2 engine
+(:class:`~repro.core.engine.MMQJPEngine` by default), and
+:class:`repro.runtime.ShardedBroker` — what :func:`repro.open_broker`
+returns for ``shards=N`` (N > 1) — builds on it with N engine shards.
 """
 
 from repro.pubsub.subscription import DEFAULT_RESULT_LIMIT, Subscription, SubscriptionResult

@@ -12,6 +12,13 @@ documents, and delivers matches to subscribers.
   block) are evaluated directly by the shared Stage 1 evaluator, like a
   classic XPath pub/sub system.
 
+:class:`BrokerFrontEnd` is the one implementation of everything a
+subscriber sees: the subscription table, subscribe/cancel/mute, durable
+persistence and recovery replay, match delivery, ``publish_stream``,
+``stats()``, metrics and the session lifecycle.  Two brokers build on it
+and differ only in where join queries run: :class:`Broker` (one engine, in
+this module) and :class:`repro.runtime.ShardedBroker` (N engine shards).
+
 The blessed construction path is :func:`repro.open_broker`, which routes to
 the sharded runtime when ``config.shards > 1``; ``Broker`` itself is the
 unsharded flavor and refuses ``shards > 1``.
@@ -20,10 +27,11 @@ unsharded flavor and refuses ``shards > 1``.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Self, Union
 
 from repro.config import RuntimeConfig, config_or_default, metrics_enabled, resolve_ingest
-from repro.core.engine import ENGINES, make_engine
+from repro.core.engine import ENGINES, merge_engine_stats, make_engine
+from repro.core.results import Match
 from repro.metrics import MetricsRegistry, merge_snapshots
 from repro.pubsub.filters import FilterFrontEnd, deliver_filter_matches
 from repro.pubsub.stream import StreamRegistry
@@ -41,70 +49,56 @@ from repro.xscl.ast import XsclQuery
 from repro.xscl.parser import parse_query
 from repro.xscl.render import render_query
 
-__all__ = ["Broker", "ENGINES", "deliver_filter_matches"]
+__all__ = ["Broker", "BrokerFrontEnd", "ENGINES", "deliver_filter_matches"]
 
 
-class Broker:
-    """An XML publish/subscribe broker supporting inter-document join queries.
+class BrokerFrontEnd:
+    """Subscriptions, delivery, stats and lifecycle shared by both brokers.
 
-    Parameters
-    ----------
-    config:
-        A :class:`~repro.config.RuntimeConfig`; ``None`` means
-        ``RuntimeConfig()``.  ``shards > 1`` raises :class:`ValueError` —
-        use :func:`repro.open_broker`, which routes to
-        :class:`repro.runtime.ShardedBroker`.
+    A concrete broker supplies ``publish``/``publish_many``/``prune`` and
+    these hooks:
+
+    * ``_register_join(sid, query, shard)`` places a join query on an engine
+      (``shard`` is the recorded placement on recovery replay, else
+      ``None``) and returns the placement to persist (``None`` when there is
+      only one engine); ``_deregister_join(sid, query)`` retracts it;
+    * ``output_document(match)`` constructs a match's output document;
+    * ``_members()`` lists the engine members that ``stats()`` and
+      ``metrics_snapshot()`` merge, that :meth:`close` closes and that
+      recovery restores; each has ``stats``/``metrics_snapshot``/``close``
+      and the recovery plane (``recover_catalog``/``registry_refcounts``/
+      ``recover_state``);
+    * optionally ``_topology_stats(member_stats)`` (extra ``stats()`` keys),
+      ``_close_runtime()`` (extra teardown after the members) and
+      ``_restore_counters(records)`` (extra persisted counters).
     """
 
-    def __init__(self, config: Optional[RuntimeConfig] = None):
-        config = config_or_default(config, type(self).__name__)
-        if config.shards > 1:
-            # Refuse rather than silently running everything on one engine.
-            raise ValueError(
-                f"{type(self).__name__} cannot honor shards={config.shards}; construct "
-                "repro.runtime.ShardedBroker (or use repro.open_broker) instead"
-            )
+    def __init__(self, config: RuntimeConfig):
         config.validate_outputs()
         self.config = config
         self.engine_name = config.engine
+        self.construct_outputs = config.construct_outputs
         # Durable storage: "memory" attaches nothing anywhere; "sqlite"
-        # opens one registry store for the broker and one state store for
-        # the engine (the single "shard" of the unsharded topology, so the
-        # on-disk layout matches ShardedBroker's and recovery is uniform).
+        # opens one registry store for the broker here and one state store
+        # per engine ("shard-<i>") in the concrete broker.
         self.storage, self.storage_path = resolve_storage(config)
         self._store = open_member_store(
             self.storage, self.storage_path, "broker", config.durability
         )
-        self.engine = make_engine(
-            config,
-            store=open_member_store(
-                self.storage, self.storage_path, "shard-0", config.durability
-            ),
-        )
-        self.construct_outputs = config.construct_outputs
-        self._ingest = resolve_ingest(config)
         self.streams = StreamRegistry(history_size=config.stream_history)
         self._subscriptions: dict[str, Subscription] = {}
-        # Lazy match materialization: a join match whose subscription is
-        # missing, cancelled or paused is dropped by _deliver_matches
-        # anyway, so the processor skips building the Match object at all
-        # (such matches consequently never count toward num_matches).
-        self.engine.set_match_filter(self._match_deliverable)
         self._filters = FilterFrontEnd()
         self._sub_counter = 1
         self._reg_seq = 0
+        self._num_published = 0
         self._closed = False
         # Observability (RuntimeConfig.metrics / REPRO_METRICS): the broker
-        # registry holds publish latency and delivery lag; the engine keeps
-        # its own per-stage registry and both merge in stats()["metrics"].
+        # registry holds publish latency and delivery lag; every engine
+        # member keeps its own per-stage registry (in its worker process,
+        # for the "processes" runtime) and all merge in stats()["metrics"].
         self.metrics = MetricsRegistry() if metrics_enabled(config) else None
         if self._store is not None:
             self._store.set_meta("config", config_snapshot(config))
-
-    def _match_deliverable(self, qid: str) -> bool:
-        """Whether matches of ``qid`` could currently be delivered."""
-        subscription = self._subscriptions.get(qid)
-        return subscription is not None and subscription.active
 
     # ------------------------------------------------------------------ #
     # subscriptions
@@ -119,9 +113,12 @@ class Broker:
     ) -> Subscription:
         """Register a subscription and return its :class:`Subscription` handle.
 
-        ``sink`` attaches a :class:`~repro.pubsub.sinks.DeliverySink`
-        receiving every result (in addition to the legacy bounded
-        ``results`` collection and the optional ``callback``).
+        Join subscriptions go to an engine (on the sharded broker, to the
+        shard the partitioner picks); filter subscriptions stay on the
+        broker's shared front-end evaluator.  ``sink`` attaches a
+        :class:`~repro.pubsub.sinks.DeliverySink` receiving every result (in
+        addition to the bounded ``results`` collection and the optional
+        ``callback``).
         """
         if isinstance(query, str):
             query = parse_query(query, window_symbols=window_symbols)
@@ -135,24 +132,32 @@ class Broker:
             sink=sink,
             result_limit=self.config.result_limit,
         )
+        shard = self._add(subscription, None)
+        if self._store is not None:
+            self._persist_subscription(sid, query, shard)
+        return subscription
 
+    def _add(self, subscription: Subscription, shard: Optional[int]) -> Optional[int]:
+        """Register one subscription's query; returns its engine placement."""
+        sid = subscription.subscription_id
+        query = subscription.query
         if query.is_join_query:
-            self.engine.register_query(query, qid=sid)
+            shard = self._register_join(sid, query, shard)
         else:
             self._filters.register(sid, subscription)
         self._subscriptions[sid] = subscription
         subscription._retract = self.cancel
-        if self._store is not None:
-            self._persist_subscription(sid, query)
-        return subscription
+        return shard
 
     def _next_sid(self) -> str:
         sid = f"sub{self._sub_counter}"
         self._sub_counter += 1
         return sid
 
-    def _persist_subscription(self, sid: str, query: XsclQuery) -> None:
-        """Record one registration in the durable registry.
+    def _persist_subscription(
+        self, sid: str, query: XsclQuery, shard: Optional[int]
+    ) -> None:
+        """Record one registration (with its shard placement) durably.
 
         The query is persisted as rendered text (windows numeric, so no
         window-symbol table is needed to replay it); ``seq`` preserves the
@@ -165,7 +170,7 @@ class Broker:
                 subscription_id=sid,
                 query_text=render_query(query),
                 kind="join" if query.is_join_query else "filter",
-                shard=None,
+                shard=shard,
             )
         )
         self._store.set_meta("sub_counter", self._sub_counter)
@@ -175,27 +180,30 @@ class Broker:
 
         Runs the live registration code path — engine templates, Stage 1
         registrations, plans and relevance postings rebuild exactly as they
-        would on a fresh ``subscribe`` — but skips re-persisting the record.
-        Callbacks and sinks are process-local and cannot be recovered;
-        subscribers re-attach via ``broker.subscription(sid)``.
+        would on a fresh ``subscribe`` — on the *recorded* shard, but skips
+        re-persisting the record.  Callbacks and sinks are process-local
+        and cannot be recovered; subscribers re-attach via
+        ``broker.subscription(sid)``.
         """
         subscription = Subscription(
             subscription_id=record.subscription_id,
             query=query,
             result_limit=self.config.result_limit,
         )
-        if query.is_join_query:
-            self.engine.register_query(query, qid=record.subscription_id)
-        else:
-            self._filters.register(record.subscription_id, subscription)
-        self._subscriptions[record.subscription_id] = subscription
-        subscription._retract = self.cancel
+        self._add(subscription, record.shard)
         return subscription
+
+    def _restore_counters(self, records: list[SubscriptionRecord]) -> None:
+        """Continue the persisted id and publish counters (recovery)."""
+        store = self._store
+        self._sub_counter = int(store.get_meta("sub_counter", self._sub_counter))
+        self._reg_seq = max((record.seq for record in records), default=0)
+        self._num_published = int(store.get_meta("num_published", 0))
 
     def cancel(self, subscription_id: str) -> bool:
         """Retract a subscription: deregister its query and reclaim state.
 
-        Join subscriptions are deregistered from the engine (template
+        Join subscriptions are deregistered from their engine (template
         ``RT`` tuple, relevance postings, compiled plans and reclaimable
         join-state rows included — see
         :meth:`repro.core.engine._BaseEngine.deregister_query`); filter
@@ -207,8 +215,10 @@ class Broker:
         subscription = self._subscriptions.get(subscription_id)
         if subscription is None or subscription.cancelled:
             return False
-        if not self._filters.cancel(subscription_id):
-            self.engine.deregister_query(subscription_id)
+        if subscription.query.is_join_query:
+            self._deregister_join(subscription_id, subscription.query)
+        else:
+            self._filters.cancel(subscription_id)
         subscription._mark_cancelled()
         if self._store is not None:
             self._store.remove_subscription(subscription_id)
@@ -239,6 +249,224 @@ class Broker:
         return list(self._subscriptions.values())
 
     # ------------------------------------------------------------------ #
+    # delivery
+    # ------------------------------------------------------------------ #
+    def publish_stream(
+        self, documents: Iterable[Union[str, XmlDocument]]
+    ) -> list[SubscriptionResult]:
+        """Publish a sequence of documents one at a time; returns all deliveries.
+
+        Unlike ``publish_many``, each document is processed and delivered
+        before the next is read: a delivery callback that subscribes or
+        publishes mid-stream observes the same interleaving as a ``publish``
+        loop, and a generator input is consumed incrementally instead of
+        being materialized up front.
+        """
+        out: list[SubscriptionResult] = []
+        for document in documents:
+            out.extend(self.publish(document))
+        return out
+
+    def _deliver_matches(
+        self,
+        matches,
+        deliveries: list[SubscriptionResult],
+        subscription_of: dict,
+        publish_stamp: Optional[float] = None,
+    ) -> None:
+        """Deliver one document's join matches to their subscriptions.
+
+        ``subscription_of`` caches the qid → subscription handle lookups
+        across a batch, so repeated matches of the same query resolve
+        without re-consulting the registry.  Activity is still checked per
+        match — a delivery callback may pause or cancel mid-batch.
+        ``publish_stamp`` (metrics mode) is the triggering document's
+        publish timestamp; delivery lag is recorded against it after each
+        sink delivery, unless the match carries its own (matches decoded
+        from a worker process carry the stamp of the outbound document).
+        """
+        metrics = self.metrics
+        for match in matches:
+            qid = match.qid
+            subscription = subscription_of.get(qid)
+            if subscription is None:
+                if qid in subscription_of:
+                    continue  # interned negative entry: no such subscription
+                subscription = self._subscriptions.get(qid)
+                subscription_of[qid] = subscription
+                if subscription is None:
+                    continue
+            if not subscription.active:
+                continue
+            output = None
+            if self.construct_outputs:
+                output = self.output_document(match)
+            result = SubscriptionResult(
+                subscription_id=qid, match=match, output=output
+            )
+            subscription.deliver(result)
+            deliveries.append(result)
+            if metrics is not None:
+                stamp = match.publish_stamp or publish_stamp
+                if stamp is not None:
+                    metrics.record_delivery_lag(qid, perf_counter() - stamp)
+
+    def _record_filter_lag(self, results: list[SubscriptionResult], stamp) -> None:
+        """Record delivery lag for one document's filter-path deliveries."""
+        if stamp is None or not results:
+            return
+        now = perf_counter()
+        for result in results:
+            self.metrics.record_delivery_lag(result.subscription_id, now - stamp)
+
+    # ------------------------------------------------------------------ #
+    # stats
+    # ------------------------------------------------------------------ #
+    def stats(self) -> dict:
+        """Broker statistics: streams, subscriptions, merged engine stats, metrics."""
+        member_stats = [member.stats() for member in self._members()]
+        return {
+            "engine": self.engine_name,
+            "indexing": self.config.indexing,
+            "storage": self.storage,
+            "streams": self.streams.stats(),
+            "num_subscriptions": len(self._subscriptions),
+            "num_filter_subscriptions": self._filters.num_subscriptions,
+            "num_cancelled_subscriptions": sum(
+                1 for s in self._subscriptions.values() if s.cancelled
+            ),
+            "delivery_failures": delivery_failure_stats(self._subscriptions.values()),
+            "num_documents_published": self._num_published,
+            "engine_stats": merge_engine_stats(member_stats).__dict__,
+            **self._topology_stats(member_stats),
+            "metrics": self.metrics_snapshot(),
+        }
+
+    def _topology_stats(self, member_stats: list) -> dict:
+        """Broker-specific ``stats()`` keys (none for one engine)."""
+        return {}
+
+    def metrics_snapshot(self) -> Optional[dict]:
+        """Merged metrics snapshot (broker + every engine), or ``None`` when off.
+
+        Broker-side series: ``publish_latency`` / ``publish_batch_latency``
+        histograms (publish-call wall time), the ``delivery_lag`` histogram
+        plus per-subscription lag tracking, and the ``documents_published``
+        / ``results_delivered`` counters.  Engine-side series: ``stage:*``
+        histograms (one per measured pipeline stage), fetched from the
+        worker over the control pipe in the ``"processes"`` runtime.
+        """
+        if self.metrics is None:
+            return None
+        snapshots = [self.metrics.snapshot()]
+        snapshots.extend(member.metrics_snapshot() for member in self._members())
+        return merge_snapshots(snapshots)
+
+    # ------------------------------------------------------------------ #
+    # lifecycle
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        """End the session (idempotent): close sinks, engines and stores.
+
+        Every subscription's sinks are flushed and closed — a
+        :class:`~repro.pubsub.sinks.BatchingSink` holding a partial batch
+        delivers it here.  One sink raising does not prevent the remaining
+        subscriptions, the engines, workers or stores from closing; the
+        first error is re-raised once cleanup completes.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        first_error: Optional[BaseException] = None
+        for subscription in self._subscriptions.values():
+            try:
+                subscription.close_sinks()
+            except BaseException as exc:  # noqa: BLE001 - must keep closing
+                if first_error is None:
+                    first_error = exc
+        for member in self._members():
+            member.close()
+        self._close_runtime()
+        if self._store is not None:
+            self._store.close()
+        if first_error is not None:
+            raise first_error
+
+    def _close_runtime(self) -> None:
+        """Teardown after the members are closed (nothing for one engine)."""
+
+    def __enter__(self) -> Self:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class Broker(BrokerFrontEnd):
+    """An XML publish/subscribe broker supporting inter-document join queries.
+
+    Parameters
+    ----------
+    config:
+        A :class:`~repro.config.RuntimeConfig`; ``None`` means
+        ``RuntimeConfig()``.  ``shards > 1`` raises :class:`ValueError` —
+        use :func:`repro.open_broker`, which routes to
+        :class:`repro.runtime.ShardedBroker`.
+    """
+
+    def __init__(self, config: Optional[RuntimeConfig] = None):
+        config = config_or_default(config, type(self).__name__)
+        if config.shards > 1:
+            # Refuse rather than silently running everything on one engine.
+            raise ValueError(
+                f"{type(self).__name__} cannot honor shards={config.shards}; construct "
+                "repro.runtime.ShardedBroker (or use repro.open_broker) instead"
+            )
+        super().__init__(config)
+        # The single engine is "shard 0" of the unsharded topology, so the
+        # on-disk layout matches ShardedBroker's and recovery is uniform.
+        self.engine = make_engine(
+            config,
+            store=open_member_store(
+                self.storage, self.storage_path, "shard-0", config.durability
+            ),
+        )
+        self._ingest = resolve_ingest(config)
+        # Lazy match materialization: a join match whose subscription is
+        # missing, cancelled or paused is dropped by _deliver_matches
+        # anyway, so the processor skips building the Match object at all
+        # (such matches consequently never count toward num_matches).
+        self.engine.set_match_filter(self._match_deliverable)
+
+    def _match_deliverable(self, qid: str) -> bool:
+        """Whether matches of ``qid`` could currently be delivered."""
+        subscription = self._subscriptions.get(qid)
+        return subscription is not None and subscription.active
+
+    # ------------------------------------------------------------------ #
+    # front-end hooks
+    # ------------------------------------------------------------------ #
+    def _register_join(
+        self, sid: str, query: XsclQuery, shard: Optional[int]
+    ) -> Optional[int]:
+        self.engine.register_query(query, qid=sid)
+        return None
+
+    def _deregister_join(self, sid: str, query: XsclQuery) -> None:
+        self.engine.deregister_query(sid)
+
+    def output_document(self, match: Match) -> XmlDocument:
+        """Construct the output XML document of a match."""
+        return self.engine.output_document(match)
+
+    def _members(self) -> list:
+        # The one engine viewed as shard 0 (repro.runtime imports this
+        # module, hence the local import).
+        from repro.runtime.shard import EngineShard
+
+        return [EngineShard(0, self.engine)]
+
+    # ------------------------------------------------------------------ #
     # publishing
     # ------------------------------------------------------------------ #
     def _prepare(
@@ -257,58 +485,8 @@ class Broker:
         if timestamp is not None:
             document.timestamp = float(timestamp)
         self.streams.get_or_create(document.stream).record(document)
+        self._num_published += 1
         return document
-
-    def _deliver_matches(
-        self,
-        matches,
-        deliveries: list[SubscriptionResult],
-        subscription_of: dict,
-        publish_stamp: Optional[float] = None,
-    ) -> None:
-        """Deliver one document's join matches to their subscriptions.
-
-        ``subscription_of`` caches the qid → subscription handle lookups
-        across a batch, so repeated matches of the same query resolve
-        without re-consulting the registry.  Activity is still checked per
-        match — a delivery callback may pause or cancel mid-batch.
-        ``publish_stamp`` (metrics mode) is the triggering document's
-        publish timestamp; delivery lag is recorded against it after each
-        sink delivery.
-        """
-        metrics = self.metrics
-        for match in matches:
-            qid = match.qid
-            subscription = subscription_of.get(qid)
-            if subscription is None:
-                if qid in subscription_of:
-                    continue  # interned negative entry: no such subscription
-                subscription = self._subscriptions.get(qid)
-                subscription_of[qid] = subscription
-                if subscription is None:
-                    continue
-            if not subscription.active:
-                continue
-            output = None
-            if self.construct_outputs:
-                output = self.engine.output_document(match)
-            result = SubscriptionResult(
-                subscription_id=qid, match=match, output=output
-            )
-            subscription.deliver(result)
-            deliveries.append(result)
-            if metrics is not None:
-                stamp = match.publish_stamp or publish_stamp
-                if stamp is not None:
-                    metrics.record_delivery_lag(qid, perf_counter() - stamp)
-
-    def _record_filter_lag(self, results: list[SubscriptionResult], stamp) -> None:
-        """Record delivery lag for one document's filter-path deliveries."""
-        if stamp is None or not results:
-            return
-        now = perf_counter()
-        for result in results:
-            self.metrics.record_delivery_lag(result.subscription_id, now - stamp)
 
     def _text_fast_path(self) -> bool:
         """Whether a text publish can skip tree construction end to end.
@@ -343,6 +521,7 @@ class Broker:
         stamp = perf_counter() if metrics is not None else None
         pre_ts = float(timestamp) if timestamp is not None else 0.0
         self.streams.get_or_create(name).record_stamp(pre_ts)
+        self._num_published += 1
         matches = self.engine.process_text(
             text, timestamp=(pre_ts if pre_ts != 0.0 else None), stream=name
         )
@@ -364,43 +543,28 @@ class Broker:
     ) -> list[SubscriptionResult]:
         """Publish one document and deliver all resulting matches.
 
-        Returns the deliveries made for this document (also pushed to the
-        subscriber sinks).
+        The engine processes the document before any callback fires, so a
+        subscription made from a delivery callback never joins the document
+        in flight (as on the sharded broker); callbacks then fire for the
+        filter deliveries, then the join matches.  Returns the deliveries
+        made for this document (also pushed to the subscriber sinks).
         """
         if isinstance(document, str) and self._text_fast_path():
             return self._publish_text(document, timestamp, stream)
         document = self._prepare(document, timestamp, stream)
-        deliveries: list[SubscriptionResult] = []
-        filter_results = self._filters.deliver(document)
-        deliveries.extend(filter_results)
         matches = self.engine.process_document(document)
+        deliveries = self._filters.deliver(document)
         metrics = self.metrics
         if metrics is None:
             self._deliver_matches(matches, deliveries, {})
         else:
             stamp = document.publish_stamp
-            self._record_filter_lag(filter_results, stamp)
+            self._record_filter_lag(deliveries, stamp)
             self._deliver_matches(matches, deliveries, {}, stamp)
             metrics.histogram("publish_latency").record(perf_counter() - stamp)
             metrics.counter("documents_published").inc()
             metrics.counter("results_delivered").inc(len(deliveries))
         return deliveries
-
-    def publish_stream(
-        self, documents: Iterable[Union[str, XmlDocument]]
-    ) -> list[SubscriptionResult]:
-        """Publish a sequence of documents one at a time; returns all deliveries.
-
-        Unlike :meth:`publish_many`, each document is processed and
-        delivered before the next is read: a delivery callback that
-        subscribes or publishes mid-stream observes the same interleaving
-        as a :meth:`publish` loop, and a generator input is consumed
-        incrementally instead of being materialized up front.
-        """
-        out: list[SubscriptionResult] = []
-        for document in documents:
-            out.extend(self.publish(document))
-        return out
 
     def publish_many(
         self,
@@ -449,79 +613,11 @@ class Broker:
         return deliveries
 
     # ------------------------------------------------------------------ #
-    # state management and stats
+    # state management
     # ------------------------------------------------------------------ #
     def prune(self, min_timestamp: float) -> int:
         """Prune join state older than ``min_timestamp``; returns documents removed."""
         return self.engine.prune(min_timestamp)
-
-    def stats(self) -> dict:
-        """Broker-level statistics: per-stream counts alongside engine stats."""
-        stream_counts = self.streams.stats()
-        return {
-            "engine": self.engine_name,
-            "indexing": self.engine.indexing,
-            "storage": self.storage,
-            "streams": stream_counts,
-            "num_subscriptions": len(self._subscriptions),
-            "num_filter_subscriptions": self._filters.num_subscriptions,
-            "num_cancelled_subscriptions": sum(
-                1 for s in self._subscriptions.values() if s.cancelled
-            ),
-            "delivery_failures": delivery_failure_stats(self._subscriptions.values()),
-            "num_documents_published": sum(stream_counts.values()),
-            "engine_stats": self.engine.stats().__dict__,
-            "metrics": self.metrics_snapshot(),
-        }
-
-    def metrics_snapshot(self) -> Optional[dict]:
-        """Merged metrics snapshot (broker + engine), or ``None`` when disabled.
-
-        Broker-side series: ``publish_latency`` / ``publish_batch_latency``
-        histograms (publish-call wall time), the ``delivery_lag`` histogram
-        plus per-subscription lag tracking, and the ``documents_published``
-        / ``results_delivered`` counters.  Engine-side series: ``stage:*``
-        histograms (one per measured pipeline stage).
-        """
-        if self.metrics is None:
-            return None
-        return merge_snapshots(
-            [self.metrics.snapshot(), self.engine.metrics_snapshot()]
-        )
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """End the session (idempotent): close sinks, flush and close the stores.
-
-        Every subscription's sinks are flushed and closed — a
-        :class:`~repro.pubsub.sinks.BatchingSink` holding a partial batch
-        delivers it here.  One sink raising does not prevent the remaining
-        subscriptions, the engine or the stores from closing; the first
-        error is re-raised once cleanup completes.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        first_error: Optional[BaseException] = None
-        for subscription in self._subscriptions.values():
-            try:
-                subscription.close_sinks()
-            except BaseException as exc:  # noqa: BLE001 - must keep closing
-                if first_error is None:
-                    first_error = exc
-        self.engine.close()
-        if self._store is not None:
-            self._store.close()
-        if first_error is not None:
-            raise first_error
-
-    def __enter__(self) -> "Broker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

@@ -8,8 +8,9 @@ shard), fans each published document out to all shards through a pluggable
 executor, and merges matches, statistics and cost breakdowns back into one
 broker-level view.
 
-* :class:`~repro.runtime.sharded_broker.ShardedBroker` — the drop-in broker
-  (what :func:`repro.open_broker` returns for ``shards > 1``).
+* :class:`~repro.runtime.sharded_broker.ShardedBroker` — the broker front
+  end of :mod:`repro.pubsub.broker` over N engine shards (what
+  :func:`repro.open_broker` returns for ``shards > 1``).
 * :mod:`~repro.runtime.partition` — hash-by-template and least-loaded
   placement strategies.
 * :mod:`~repro.runtime.executor` — serial (deterministic), thread-pool and

@@ -41,6 +41,7 @@ from time import perf_counter
 from typing import Any, Optional, Sequence
 
 from repro.core.results import Match
+from repro.runtime.shard import EngineShard
 from repro.runtime.wire import decode_document_batch
 
 __all__ = [
@@ -235,19 +236,9 @@ def _dispatch(engine, method: str, args: tuple):
     if method == "output_document":
         (wire,) = args
         return engine.output_document(decode_match(wire))
-    if method == "recover_catalog":
-        from repro.storage.recovery import recover_engine_catalog
-
-        return recover_engine_catalog(engine)
-    if method == "registry_refcounts":
-        from repro.storage.recovery import engine_registry_refcounts
-
-        return engine_registry_refcounts(engine)
-    if method == "recover_state":
-        from repro.storage.recovery import docid_floor, restore_engine_state
-
-        restore_engine_state(engine)
-        return docid_floor(engine)
+    if method in ("recover_catalog", "registry_refcounts", "recover_state"):
+        # The recovery plane runs the in-process shard's implementation.
+        return getattr(EngineShard(0, engine), method)()
     raise ValueError(f"unknown shard-worker command {method!r}")
 
 

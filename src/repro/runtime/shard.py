@@ -9,7 +9,8 @@ state, and shards never need to communicate during processing.
 
 In the ``"processes"`` runtime this same surface is provided by
 :class:`~repro.runtime.process.ProcessShardHandle`, with the engine living
-in a worker process.
+in a worker process.  The unsharded :class:`repro.pubsub.Broker` views its
+one engine as shard 0, so recovery and stats treat every topology alike.
 """
 
 from __future__ import annotations
@@ -98,6 +99,23 @@ class EngineShard:
     def close(self) -> None:
         """Close this shard's engine (flushes an attached state store)."""
         self.engine.close()
+
+    # -- recovery plane (see repro.storage.recovery) --------------------- #
+    def recover_catalog(self):
+        from repro.storage.recovery import recover_engine_catalog
+
+        return recover_engine_catalog(self.engine)
+
+    def registry_refcounts(self):
+        from repro.storage.recovery import engine_registry_refcounts
+
+        return engine_registry_refcounts(self.engine)
+
+    def recover_state(self) -> int:
+        from repro.storage.recovery import docid_floor, restore_engine_state
+
+        restore_engine_state(self.engine)
+        return docid_floor(self.engine)
 
     def __repr__(self) -> str:
         return f"<EngineShard {self.shard_id} queries={self.num_queries}>"

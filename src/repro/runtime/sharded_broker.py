@@ -1,8 +1,11 @@
 """The sharded broker: N independent engine shards behind one broker API.
 
-:class:`ShardedBroker` is a drop-in replacement for
-:class:`repro.pubsub.Broker` that partitions join subscriptions across
-several independent Stage 1 + Stage 2 engines:
+:class:`ShardedBroker` is the second broker built on
+:class:`repro.pubsub.broker.BrokerFrontEnd`: subscriptions, delivery,
+durable registration, ``publish_stream``, ``stats()``, metrics and the
+session lifecycle are the front end's, shared with the unsharded
+:class:`repro.pubsub.Broker`.  What this module adds is where join queries
+run — partitioned across several independent Stage 1 + Stage 2 engines:
 
 * **Subscriptions are partitioned** by a :class:`~repro.runtime.partition.Partitioner`
   that keeps all queries of one template (same CQT) on the same shard, so
@@ -28,8 +31,8 @@ several independent Stage 1 + Stage 2 engines:
   the broker stamps documents centrally before the fan-out), statistics via
   :func:`repro.core.engine.merge_engine_stats`, costs by per-phase summing.
 
-Filter (single-block) subscriptions are evaluated once at the front end by
-a shared Stage 1 evaluator, exactly like the unsharded broker.
+Filter (single-block) subscriptions are evaluated once, by the front end's
+shared Stage 1 evaluator.
 
 Batched ingestion (:meth:`ShardedBroker.publish_many`) dispatches one task
 per shard for a whole batch of documents — routed per document into
@@ -46,34 +49,24 @@ import pickle
 from time import perf_counter
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.config import RuntimeConfig, config_or_default, metrics_enabled
+from repro.config import RuntimeConfig, config_or_default
 from repro.core.engine import EngineStats, make_engine, merge_engine_stats
 from repro.core.results import Match
-from repro.metrics import MetricsRegistry, merge_snapshots
-from repro.pubsub.filters import FilterFrontEnd
-from repro.pubsub.stream import StreamRegistry
-from repro.pubsub.subscription import (
-    Callback,
-    Subscription,
-    SubscriptionResult,
-    delivery_failure_stats,
-)
+from repro.pubsub.broker import BrokerFrontEnd
+from repro.pubsub.subscription import SubscriptionResult
 from repro.runtime.executor import executor_env_override, make_executor
 from repro.runtime.partition import make_partitioner
 from repro.runtime.process import ProcessShardHandle, ShardWorkerGroup
 from repro.runtime.router import ShardRouter
-from repro.runtime.wire import WireBuffer, encode_document_batch
 from repro.runtime.shard import EngineShard
-from repro.storage import SubscriptionRecord, open_member_store, resolve_storage
-from repro.storage.recovery import config_snapshot
+from repro.runtime.wire import WireBuffer, encode_document_batch
+from repro.storage import open_member_store
 from repro.xmlmodel.document import XmlDocument
 from repro.xmlmodel.parser import parse_document
 from repro.xscl.ast import XsclQuery
-from repro.xscl.parser import parse_query
-from repro.xscl.render import render_query
 
 
-class ShardedBroker:
+class ShardedBroker(BrokerFrontEnd):
     """A publish/subscribe broker running N parallel engine shards.
 
     Parameters
@@ -87,24 +80,13 @@ class ShardedBroker:
 
     def __init__(self, config: Optional[RuntimeConfig] = None):
         config = config_or_default(config, "ShardedBroker")
-        config.validate_outputs()
-
-        self.config = config
-        self.engine_name = config.engine
-        self.indexing = config.indexing
-        self.construct_outputs = config.construct_outputs
+        super().__init__(config)
         self.auto_timestamp = config.auto_timestamp
         # The broker stamps documents centrally (one clock for all shards)
         # so that every shard sees identical timestamps; per-engine
         # auto-stamping would let shard clocks drift on streams mixing
         # stamped and unstamped documents.
         shard_config = config.replace(auto_timestamp=False)
-        # Durable storage: one registry store for the broker plus one state
-        # store per shard ("memory" attaches nothing anywhere).
-        self.storage, self.storage_path = resolve_storage(config)
-        self._store = open_member_store(
-            self.storage, self.storage_path, "broker", config.durability
-        )
         executor_spec = executor_env_override(config.executor)
         self._executor = make_executor(
             executor_spec, max_workers=config.max_workers, num_shards=config.shards
@@ -113,6 +95,7 @@ class ShardedBroker:
         if self._executor.name == "processes":
             self.shards = self._spawn_process_shards(shard_config)
         else:
+            # One state store per shard ("memory" attaches nothing).
             self.shards = [
                 EngineShard(
                     shard_id,
@@ -144,22 +127,8 @@ class ShardedBroker:
         }
         self._partitioner = make_partitioner(config.partitioner, config.shards)
         self._router = ShardRouter() if config.route_dispatch else None
-        self.streams = StreamRegistry(history_size=config.stream_history)
-        self._subscriptions: dict[str, Subscription] = {}
         self._shard_of: dict[str, Union[EngineShard, ProcessShardHandle]] = {}
-        self._filters = FilterFrontEnd()
-        self._sub_counter = 1
-        self._reg_seq = 0
         self._clock_value = 0
-        self._num_published = 0
-        self._closed = False
-        # Observability (RuntimeConfig.metrics / REPRO_METRICS): the broker
-        # registry holds publish latency and delivery lag; each shard engine
-        # keeps its own per-stage registry (in its worker process, for the
-        # "processes" runtime) and all of them merge in stats()["metrics"].
-        self.metrics = MetricsRegistry() if metrics_enabled(config) else None
-        if self._store is not None:
-            self._store.set_meta("config", config_snapshot(config))
 
     def _spawn_process_shards(self, shard_config: RuntimeConfig) -> list[ProcessShardHandle]:
         """Start the worker processes and return one handle per shard.
@@ -207,145 +176,70 @@ class ShardedBroker:
         ]
 
     # ------------------------------------------------------------------ #
-    # subscriptions
+    # front-end hooks
     # ------------------------------------------------------------------ #
-    def subscribe(
-        self,
-        query: Union[str, XsclQuery],
-        callback: Optional[Callback] = None,
-        window_symbols: Optional[dict[str, float]] = None,
-        subscription_id: Optional[str] = None,
-        sink=None,
-    ) -> Subscription:
-        """Register a subscription and return its :class:`Subscription` handle.
+    def _register_join(
+        self, sid: str, query: XsclQuery, shard: Optional[int]
+    ) -> int:
+        """Place a join query on the partitioner's (or the recorded) shard.
 
-        Join subscriptions are placed on one engine shard by the partitioner
-        (and indexed by the fan-out router, when enabled); filter
-        subscriptions stay on the broker's shared front-end evaluator.
-        ``sink`` attaches an additional delivery sink, as on
-        :meth:`repro.pubsub.Broker.subscribe`.
+        Recovery passes the *recorded* shard: documents are routed but
+        subscriptions partitioned, so each shard's persisted join state
+        reflects the queries it owned, and a load-sensitive partitioner
+        could choose differently after churn.  The partitioner's template
+        map and load accounting are restored alongside, so post-recovery
+        placements stay cohesive; the router indexes the query either way.
         """
-        if isinstance(query, str):
-            query = parse_query(query, window_symbols=window_symbols)
-        sid = subscription_id if subscription_id is not None else self._next_sid()
-        if sid in self._subscriptions:
-            raise ValueError(f"subscription id {sid!r} already exists")
-        subscription = Subscription(
-            subscription_id=sid,
-            query=query,
-            callback=callback,
-            sink=sink,
-            result_limit=self.config.result_limit,
-        )
-
-        if query.is_join_query:
-            shard = self.shards[self._partitioner.shard_for(query)]
-            shard.register(sid, query)
-            self._shard_of[sid] = shard
-            if self._router is not None:
-                self._router.register(sid, query, shard.shard_id)
+        if shard is None:
+            shard = self._partitioner.shard_for(query)
         else:
-            self._filters.register(sid, subscription)
-        self._subscriptions[sid] = subscription
-        subscription._retract = self.cancel
-        if self._store is not None:
-            self._persist_subscription(sid, query)
-        return subscription
+            self._partitioner.restore_assignment(query, shard)
+        owner = self.shards[shard]
+        owner.register(sid, query)
+        self._shard_of[sid] = owner
+        if self._router is not None:
+            self._router.register(sid, query, shard)
+        return shard
 
-    def _next_sid(self) -> str:
-        sid = f"sub{self._sub_counter}"
-        self._sub_counter += 1
-        return sid
+    def _deregister_join(self, sid: str, query: XsclQuery) -> None:
+        """Retract a join query from its shard, the router and the partitioner."""
+        self._shard_of.pop(sid).deregister(sid)
+        self._partitioner.release(query)
+        if self._router is not None:
+            self._router.cancel(sid)
 
-    def _persist_subscription(self, sid: str, query: XsclQuery) -> None:
-        """Record one registration (with its shard placement) durably."""
-        shard = self._shard_of.get(sid)
-        self._reg_seq += 1
-        self._store.save_subscription(
-            SubscriptionRecord(
-                seq=self._reg_seq,
-                subscription_id=sid,
-                query_text=render_query(query),
-                kind="join" if query.is_join_query else "filter",
-                shard=shard.shard_id if shard is not None else None,
-            )
-        )
-        self._store.set_meta("sub_counter", self._sub_counter)
+    def output_document(self, match: Match) -> XmlDocument:
+        """Construct the output XML document of a match (on its owning shard)."""
+        shard = self._shard_of.get(match.qid)
+        if shard is None:
+            raise KeyError(f"no shard owns query id {match.qid!r}")
+        return shard.output_document(match)
 
-    def _restore_subscription(self, record, query: XsclQuery) -> Subscription:
-        """Re-register one persisted subscription on its *recorded* shard.
+    def _members(self) -> list:
+        return self.shards
 
-        Documents are partitioned by the router but subscriptions by the
-        partitioner, so each shard's persisted join state reflects the
-        queries it owned; replay must honor the recorded placement rather
-        than re-running the partitioner (a load-sensitive strategy could
-        choose differently after churn).  The partitioner's template map
-        and load accounting are restored alongside, so post-recovery
-        placements stay cohesive — and the router is rebuilt through the
-        same indexing path as a live subscribe.
-        """
-        subscription = Subscription(
-            subscription_id=record.subscription_id,
-            query=query,
-            result_limit=self.config.result_limit,
-        )
-        if query.is_join_query:
-            shard = self.shards[record.shard]
-            self._partitioner.restore_assignment(query, record.shard)
-            shard.register(record.subscription_id, query)
-            self._shard_of[record.subscription_id] = shard
-            if self._router is not None:
-                self._router.register(record.subscription_id, query, shard.shard_id)
-        else:
-            self._filters.register(record.subscription_id, subscription)
-        self._subscriptions[record.subscription_id] = subscription
-        subscription._retract = self.cancel
-        return subscription
+    def _topology_stats(self, member_stats: list) -> dict:
+        return {
+            "shards": self.num_shards,
+            "executor": self._executor.name,
+            "workers": len(self._worker_groups) or None,
+            "routing": self._router.stats() if self._router is not None else None,
+            "transport": self.transport_stats(),
+            "per_shard": [
+                {"shard": shard.shard_id, **stats.__dict__}
+                for shard, stats in zip(self.shards, member_stats)
+            ],
+            "partition": self._partitioner.stats(),
+        }
 
-    def cancel(self, subscription_id: str) -> bool:
-        """Retract a subscription from its owning shard and reclaim state.
+    def _close_runtime(self) -> None:
+        for group in self._worker_groups:
+            group.close()
+        self._executor.close()
 
-        Same contract as :meth:`repro.pubsub.Broker.cancel`: the engine-side
-        query registration (templates, relevance postings, compiled plans,
-        reclaimable join state) disappears from the owning shard, the
-        router's postings disappear (so retracted templates stop attracting
-        documents), the partitioner's load accounting is released, and the
-        handle is kept (cancelled) so the id is never silently reused.
-        """
-        subscription = self._subscriptions.get(subscription_id)
-        if subscription is None or subscription.cancelled:
-            return False
-        shard = self._shard_of.pop(subscription_id, None)
-        if shard is not None:
-            shard.deregister(subscription_id)
-            self._partitioner.release(subscription.query)
-            if self._router is not None:
-                self._router.cancel(subscription_id)
-        else:
-            self._filters.cancel(subscription_id)
-        subscription._mark_cancelled()
-        if self._store is not None:
-            self._store.remove_subscription(subscription_id)
-        return True
-
-    def unsubscribe(self, subscription_id: str) -> None:
-        """Retract a subscription (alias of :meth:`cancel`; see :meth:`mute`)."""
-        self.cancel(subscription_id)
-
-    def mute(self, subscription_id: str) -> None:
-        """Deactivate a subscription without retracting it (old ``unsubscribe``)."""
-        subscription = self._subscriptions.get(subscription_id)
-        if subscription is not None:
-            subscription.pause()
-
-    def subscription(self, subscription_id: str) -> Subscription:
-        """Return a subscription handle by id."""
-        return self._subscriptions[subscription_id]
-
-    @property
-    def subscriptions(self) -> list[Subscription]:
-        """All subscriptions (cancelled ones included), in registration order."""
-        return list(self._subscriptions.values())
+    def _restore_counters(self, records) -> None:
+        super()._restore_counters(records)
+        self._clock_value = int(self._store.get_meta("clock", 0))
 
     @property
     def num_shards(self) -> int:
@@ -401,13 +295,13 @@ class ShardedBroker:
             per_shard = self._executor.invoke(
                 [(shard, "process_one", (document,)) for shard in targets]
             )
-        filter_results = list(self._filters.deliver(document))
-        deliveries: list[SubscriptionResult] = list(filter_results)
+        deliveries = self._filters.deliver(document)
         metrics = self.metrics
         stamp = document.publish_stamp if metrics is not None else None
-        self._record_filter_lag(filter_results, stamp)
+        self._record_filter_lag(deliveries, stamp)
+        subscription_of: dict = {}
         for matches in per_shard:
-            deliveries.extend(self._deliver_matches(matches, stamp))
+            self._deliver_matches(matches, deliveries, subscription_of, stamp)
         if metrics is not None:
             metrics.histogram("publish_latency").record(perf_counter() - stamp)
             metrics.counter("documents_published").inc()
@@ -490,17 +384,17 @@ class ShardedBroker:
         # order as the unsharded broker: filters for document i, then its
         # join matches, then document i+1.
         deliveries: list[SubscriptionResult] = []
+        subscription_of: dict = {}
         metrics = self.metrics
-        for index, document in enumerate(batch):
+        for document, matches in zip(batch, matches_by_doc):
             filter_results = self._filters.deliver(document)
             deliveries.extend(filter_results)
             if metrics is None:
-                deliveries.extend(self._deliver_matches(matches_by_doc[index]))
+                self._deliver_matches(matches, deliveries, subscription_of)
             else:
-                stamp = document.publish_stamp
-                self._record_filter_lag(filter_results, stamp)
-                deliveries.extend(
-                    self._deliver_matches(matches_by_doc[index], stamp)
+                self._record_filter_lag(filter_results, document.publish_stamp)
+                self._deliver_matches(
+                    matches, deliveries, subscription_of, document.publish_stamp
                 )
         if metrics is not None:
             metrics.histogram("publish_batch_latency").record(
@@ -509,12 +403,6 @@ class ShardedBroker:
             metrics.counter("documents_published").inc(len(batch))
             metrics.counter("results_delivered").inc(len(deliveries))
         return deliveries
-
-    def publish_stream(
-        self, documents: Iterable[Union[str, XmlDocument]]
-    ) -> list[SubscriptionResult]:
-        """Publish a sequence of documents (batched); returns all deliveries."""
-        return self.publish_many(documents)
 
     def _invoke_wire(self, assignments, batch: Sequence[XmlDocument], method: str):
         """Encode ``batch`` once and fan the same bytes out to every shard.
@@ -572,45 +460,6 @@ class ShardedBroker:
             self._store.set_meta("clock", self._clock_value)
             self._store.set_meta("num_published", self._num_published)
 
-    def _deliver_matches(
-        self, matches: Sequence[Match], publish_stamp: Optional[float] = None
-    ) -> list[SubscriptionResult]:
-        metrics = self.metrics
-        deliveries: list[SubscriptionResult] = []
-        for match in matches:
-            subscription = self._subscriptions.get(match.qid)
-            if subscription is None or not subscription.active:
-                continue
-            output = self.output_document(match) if self.construct_outputs else None
-            result = SubscriptionResult(
-                subscription_id=match.qid, match=match, output=output
-            )
-            subscription.deliver(result)
-            deliveries.append(result)
-            if metrics is not None:
-                # Matches decoded from a worker process carry the stamp the
-                # parent put on the outbound document; locally-processed
-                # matches fall back to the per-call stamp.
-                stamp = match.publish_stamp or publish_stamp
-                if stamp is not None:
-                    metrics.record_delivery_lag(match.qid, perf_counter() - stamp)
-        return deliveries
-
-    def _record_filter_lag(self, results, stamp) -> None:
-        """Record delivery lag for one document's filter-path deliveries."""
-        if stamp is None or not results:
-            return
-        now = perf_counter()
-        for result in results:
-            self.metrics.record_delivery_lag(result.subscription_id, now - stamp)
-
-    def output_document(self, match: Match) -> XmlDocument:
-        """Construct the output XML document of a match (on its owning shard)."""
-        shard = self._shard_of.get(match.qid)
-        if shard is None:
-            raise KeyError(f"no shard owns query id {match.qid!r}")
-        return shard.output_document(match)
-
     # ------------------------------------------------------------------ #
     # state management and stats
     # ------------------------------------------------------------------ #
@@ -650,85 +499,6 @@ class ShardedBroker:
         merged["encode_ms"] = round(merged["encode_ms"], 3)
         merged["decode_ms"] = round(merged["decode_ms"], 3)
         return merged
-
-    def stats(self) -> dict:
-        """Broker statistics: streams, subscriptions, routing, merged + per-shard engines."""
-        return {
-            "engine": self.engine_name,
-            "indexing": self.indexing,
-            "storage": self.storage,
-            "shards": self.num_shards,
-            "executor": self._executor.name,
-            "workers": len(self._worker_groups) or None,
-            "streams": self.streams.stats(),
-            "num_subscriptions": len(self._subscriptions),
-            "num_filter_subscriptions": self._filters.num_subscriptions,
-            "num_cancelled_subscriptions": sum(
-                1 for s in self._subscriptions.values() if s.cancelled
-            ),
-            "delivery_failures": delivery_failure_stats(self._subscriptions.values()),
-            "num_documents_published": self._num_published,
-            "routing": self._router.stats() if self._router is not None else None,
-            "transport": self.transport_stats(),
-            "engine_stats": self.merged_engine_stats().__dict__,
-            "per_shard": [
-                {"shard": shard.shard_id, **shard.stats().__dict__}
-                for shard in self.shards
-            ],
-            "partition": self._partitioner.stats(),
-            "metrics": self.metrics_snapshot(),
-        }
-
-    def metrics_snapshot(self) -> Optional[dict]:
-        """Merged metrics snapshot (broker + every shard), or ``None`` when off.
-
-        In the ``"processes"`` runtime each shard's snapshot is fetched from
-        its worker over the control pipe; all snapshots merge into one view
-        with the broker's own publish-latency and delivery-lag series.
-        """
-        if self.metrics is None:
-            return None
-        snapshots = [self.metrics.snapshot()]
-        snapshots.extend(shard.metrics_snapshot() for shard in self.shards)
-        return merge_snapshots(snapshots)
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """End the session (idempotent): sinks, shards, workers, registry, executor.
-
-        Every subscription's sinks are flushed and closed (a
-        :class:`~repro.pubsub.sinks.BatchingSink` holding a partial batch
-        delivers it here); one sink raising does not prevent the remaining
-        subscriptions, shards, workers or stores from closing — the first
-        error is re-raised once cleanup completes.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        first_error: Optional[BaseException] = None
-        for subscription in self._subscriptions.values():
-            try:
-                subscription.close_sinks()
-            except BaseException as exc:  # noqa: BLE001 - must keep closing
-                if first_error is None:
-                    first_error = exc
-        for shard in self.shards:
-            shard.close()
-        for group in self._worker_groups:
-            group.close()
-        if self._store is not None:
-            self._store.close()
-        self._executor.close()
-        if first_error is not None:
-            raise first_error
-
-    def __enter__(self) -> "ShardedBroker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

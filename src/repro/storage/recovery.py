@@ -137,44 +137,12 @@ def resume_broker(
     return broker
 
 
-class _EngineMember:
-    """Recovery adapter over an in-process engine (unsharded broker or
-    :class:`~repro.runtime.shard.EngineShard`).
-
-    :class:`~repro.runtime.process.ProcessShardHandle` exposes the same
-    three methods as worker commands, so recovery drives every topology —
-    in-process or process-parallel — through one member interface, and the
-    worker-side implementations are these very helpers.
-    """
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def recover_catalog(self):
-        return recover_engine_catalog(self.engine)
-
-    def registry_refcounts(self):
-        return engine_registry_refcounts(self.engine)
-
-    def recover_state(self):
-        restore_engine_state(self.engine)
-        return docid_floor(self.engine)
-
-
-def _members(broker) -> list:
-    shards = getattr(broker, "shards", None)
-    if isinstance(shards, list):
-        return [
-            _EngineMember(shard.engine) if hasattr(shard, "engine") else shard
-            for shard in shards
-        ]
-    return [_EngineMember(broker.engine)]
-
-
 def _restore(broker) -> None:
     from repro.xscl.parser import parse_query
 
-    members = _members(broker)
+    # One member per engine: the unsharded broker's engine is shard 0, a
+    # sharded broker's members are its shards, in-process or worker-hosted.
+    members = broker._members()
 
     # 1. Pin canonical variable names before any registration replays; the
     # same round-trip captures the integrity expectations, because the
@@ -203,7 +171,7 @@ def _restore(broker) -> None:
 
     # 3. Join state, documents, and counters.
     floor = max(member.recover_state() for member in members)
-    _restore_broker_counters(broker, records)
+    broker._restore_counters(records)
     if floor:
         from repro.xmlmodel.document import advance_docid_counter
 
@@ -266,13 +234,3 @@ def restore_engine_state(engine) -> None:
     engine.num_documents_processed = int(counters.get("documents", 0))
     engine.num_matches = int(counters.get("matches", 0))
     engine._clock_value = int(counters.get("clock", 0))
-
-
-def _restore_broker_counters(broker, records) -> None:
-    store = broker._store
-    broker._sub_counter = int(store.get_meta("sub_counter", broker._sub_counter))
-    broker._reg_seq = max((record.seq for record in records), default=0)
-    if hasattr(broker, "_clock_value"):
-        broker._clock_value = int(store.get_meta("clock", 0))
-    if hasattr(broker, "_num_published"):
-        broker._num_published = int(store.get_meta("num_published", 0))

@@ -2,9 +2,11 @@
 
 The broker accepts documents as text; this parser covers the XML subset the
 paper's workloads use: elements, attributes, character data, comments,
-processing instructions/prolog, and entity references for the five
-predefined entities.  It does not support namespaces, DTDs or CDATA mixed
-content subtleties beyond simple concatenation.
+processing instructions/prolog, entity references for the five
+predefined entities and character references.  It does not support
+namespaces, DTDs (a DOCTYPE internal subset, and any entity it would
+declare, is rejected) or CDATA mixed content subtleties beyond simple
+concatenation.
 
 :func:`parse_node` and :func:`parse_document` run on the single-pass
 event scanner of :mod:`repro.xmlmodel.stream` (one text walk, ids assigned
@@ -62,6 +64,8 @@ class _Parser:
                 end = self.text.find(">", self.pos)
                 if end < 0:
                     raise self.error("unterminated DOCTYPE")
+                if self.text.find("[", self.pos, end) >= 0:
+                    raise self.error("DTD internal subsets are not supported")
                 self.pos = end + 1
             else:
                 return
@@ -81,7 +85,7 @@ class _Parser:
             m = _ATTR_RE.match(self.text, self.pos)
             if not m:
                 break
-            attributes[m.group(1)] = _unescape(m.group(2)[1:-1])
+            attributes[m.group(1)] = _unescape(m.group(2)[1:-1], self, m.start(2) + 1)
             self.pos = m.end()
 
         # Self-closing?
@@ -126,7 +130,7 @@ class _Parser:
                 nxt = self.text.find("<", self.pos)
                 if nxt < 0:
                     raise self.error(f"unexpected end of input inside <{tag}>")
-                text_parts.append(_unescape(self.text[self.pos : nxt]))
+                text_parts.append(_unescape(self.text[self.pos : nxt], self, self.pos))
                 self.pos = nxt
         text = "".join(text_parts).strip()
         node.text = text if text else None

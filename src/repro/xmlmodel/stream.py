@@ -10,8 +10,9 @@ materializing :class:`~repro.xmlmodel.node.XmlNode` objects.
 The scanner accepts exactly the XML subset of the original recursive
 parser (:class:`repro.xmlmodel.parser._Parser`, kept as the reference
 implementation for differential tests): elements, attributes, character
-data, CDATA, comments, a prolog/DOCTYPE before the root, and the five
-predefined entities.  Error messages and reported positions are identical
+data, CDATA, comments, a prolog/DOCTYPE (without an internal subset)
+before the root, the five predefined entities and character references;
+any other entity reference, or a bare ``&``, is rejected.  Error messages and reported positions are identical
 — property tests assert parity on malformed inputs.
 """
 
@@ -36,10 +37,16 @@ _LEAF_RUN_RE = re.compile(r"(?:\s*<([A-Za-z_][\w.\-:]*+)>[^<]*</\1>)++")
 #: ``&amp;quot;`` is one ``&amp;`` followed by literal ``quot;`` and must
 #: decode to ``&quot;``, never to ``"`` (the sequential str.replace
 #: implementation double-decoded).  Numeric references (``&#252;``,
-#: ``&#xFC;``) decode to their character when it is an XML ``Char``; any
-#: other reference — unknown names, code points outside Unicode, surrogates,
-#: disallowed control characters — stays verbatim.
-_ENTITY_RE = re.compile(r"&(?:(lt|gt|amp|quot|apos)|#([0-9]+)|#x([0-9A-Fa-f]+));")
+#: ``&#xFC;``) decode to their character when it is an XML ``Char``; other
+#: numeric references — code points outside Unicode, surrogates,
+#: disallowed control characters — stay verbatim.  No DTD is read, so a
+#: named reference other than the five predefined ones is undeclared, and
+#: an ``&`` that starts no reference at all is not well-formed: both are
+#: rejected (the last alternative), never passed through as text.
+_REFERENCE_RE = re.compile(
+    r"&(?:(lt|gt|amp|quot|apos)|#([0-9]+)|#x([0-9A-Fa-f]+));"
+    r"|&(?:([A-Za-z_][\w.\-:]*);)?"
+)
 _ENTITY_CHARS = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
 
@@ -57,24 +64,35 @@ def _is_xml_char(code: int) -> bool:
     )
 
 
-def _entity_char(match: "re.Match[str]") -> str:
-    name, decimal, hexadecimal = match.groups()
-    if name is not None:
-        return _ENTITY_CHARS[name]
-    digits, base = (decimal, 10) if decimal is not None else (hexadecimal, 16)
-    digits = digits.lstrip("0")
-    # No Unicode code point needs more than 7 digits; the length check also
-    # keeps int() off arbitrarily long digit runs.
-    if len(digits) > 7:
-        return match.group(0)
-    code = int(digits or "0", base)
-    return chr(code) if _is_xml_char(code) else match.group(0)
+def _unescape(text: str, source, start: int) -> str:
+    """Decode the references in ``text``, which begins at ``start`` of the document.
 
-
-def _unescape(text: str) -> str:
+    ``source`` is the scanner (or reference parser) reading the document:
+    an undeclared entity or a bare ``&`` moves its cursor onto the
+    offending ``&`` and raises its positioned :class:`XmlParseError`.
+    """
     if "&" not in text:
         return text
-    return _ENTITY_RE.sub(_entity_char, text)
+
+    def decode(match: "re.Match[str]") -> str:
+        name, decimal, hexadecimal, undeclared = match.groups()
+        if name is not None:
+            return _ENTITY_CHARS[name]
+        if decimal is None and hexadecimal is None:
+            source.pos = start + match.start()
+            if undeclared is not None:
+                raise source.error(f"undeclared entity reference &{undeclared};")
+            raise source.error("'&' must start an entity or character reference")
+        digits, base = (decimal, 10) if decimal is not None else (hexadecimal, 16)
+        digits = digits.lstrip("0")
+        # No Unicode code point needs more than 7 digits; the length check
+        # also keeps int() off arbitrarily long digit runs.
+        if len(digits) > 7:
+            return match.group(0)
+        code = int(digits or "0", base)
+        return chr(code) if _is_xml_char(code) else match.group(0)
+
+    return _REFERENCE_RE.sub(decode, text)
 
 
 class XmlScanner:
@@ -119,6 +137,8 @@ class XmlScanner:
                 end = self.text.find(">", self.pos)
                 if end < 0:
                     raise self.error("unterminated DOCTYPE")
+                if self.text.find("[", self.pos, end) >= 0:
+                    raise self.error("DTD internal subsets are not supported")
                 self.pos = end + 1
             else:
                 return
@@ -163,7 +183,9 @@ class XmlScanner:
                     m = attr_match(text, pos)
                     if not m:
                         break
-                    attributes[m.group(1)] = _unescape(m.group(2)[1:-1])
+                    attributes[m.group(1)] = _unescape(
+                        m.group(2)[1:-1], self, m.start(2) + 1
+                    )
                     pos = m.end()
 
             while pos < length and text[pos].isspace():
@@ -197,7 +219,7 @@ class XmlScanner:
                         raise self.error(
                             f"unexpected end of input inside <{stack[-1]}>"
                         )
-                    emit_text(_unescape(text[pos:nxt]))
+                    emit_text(_unescape(text[pos:nxt], self, pos))
                     pos = nxt
                     continue
                 head = text[pos + 1] if pos + 1 < length else ""
@@ -250,7 +272,9 @@ class XmlScanner:
 
         The same grammar and error messages as :meth:`scan`, minus every
         piece of work that only matters to a consumer: no attribute dicts,
-        no entity decoding, no handler calls.  This is the ``matcher=None``
+        no entity decoding, no handler calls.  It does not check entity
+        references either: :func:`validate_text` scans documents that
+        contain an ``&`` instead.  This is the ``matcher=None``
         publish path — documents on streams nobody subscribes to must still
         reject malformed input exactly like the tree path, but nothing
         reads their content.
@@ -369,12 +393,30 @@ def validate_text(text: str) -> None:
     Raises :class:`XmlParseError` with the same message :func:`scan_text`
     would; returns nothing on success.
     """
+    if "&" in text:
+        # References must be decoded to be checked; the full scan raises
+        # at the first error in document order, exactly as the tree path.
+        scan_text(text, _Discard())
+        return
     scanner = XmlScanner(text)
     scanner.skip_misc()
     scanner.validate()
     scanner.skip_misc()
     if scanner.pos != len(text):
         raise scanner.error("trailing content after the root element")
+
+
+class _Discard:
+    """A scan handler that ignores every event."""
+
+    def start(self, tag: str, attributes: dict[str, str]) -> None:
+        pass
+
+    def text(self, data: str) -> None:
+        pass
+
+    def end(self) -> None:
+        pass
 
 
 class TreeBuilder:

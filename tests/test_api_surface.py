@@ -173,9 +173,11 @@ def test_subscription_lifecycle_surface():
 def test_broker_session_surface():
     """Both broker flavors honor the session contract behind open_broker."""
     for cls in (repro.Broker, repro.ShardedBroker):
-        for method in ("subscribe", "cancel", "unsubscribe", "mute", "publish",
-                       "publish_many", "prune", "stats", "close", "__enter__", "__exit__"):
+        for method in ("subscribe", "cancel", "unsubscribe", "mute", "subscription",
+                       "publish", "publish_many", "publish_stream", "prune", "stats",
+                       "close", "__enter__", "__exit__"):
             assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
+        assert isinstance(getattr(cls, "subscriptions", None), property)
 
 
 #: Every constructor and factory from the brokers down to the join

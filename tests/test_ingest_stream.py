@@ -57,8 +57,18 @@ _misc = st.sampled_from(["", "<!-- a comment -->", "<![CDATA[raw <&> text]]>"])
 _charref = st.sampled_from(
     ["", "&#252;", "&#xFC;", "&#x1F600;", "&#1114112;", "&#0;", "&#xD800;", "&amp;#252;"]
 )
+# References that must be rejected, drawn rarely so most documents stay
+# well-formed: an undeclared named entity and bare ampersands.
+_bad_ref = st.sampled_from([""] * 30 + ["&uuml;", "H&bogus", "&", "&#;"])
 _prolog = st.sampled_from(
-    ["", '<?xml version="1.0"?>', "<!-- lead -->", "<?pi data?>", "<!DOCTYPE a>"]
+    [
+        "",
+        '<?xml version="1.0"?>',
+        "<!-- lead -->",
+        "<?pi data?>",
+        "<!DOCTYPE a>",
+        '<!DOCTYPE a [<!ENTITY uuml "&#252;">]>',
+    ]
 )
 
 
@@ -71,7 +81,8 @@ def xml_text(draw, depth: int = 0) -> str:
     tag = draw(_tag)
     attrs = draw(st.dictionaries(_attr_key, _text, max_size=2))
     rendered_attrs = "".join(
-        f' {k}="{_escape(v).replace(chr(34), "&quot;")}"' for k, v in attrs.items()
+        f' {k}="{_escape(v).replace(chr(34), "&quot;")}{draw(_bad_ref)}"'
+        for k, v in attrs.items()
     )
     if draw(st.booleans()) and depth > 0:
         return f"<{tag}{rendered_attrs}/>"
@@ -84,6 +95,7 @@ def xml_text(draw, depth: int = 0) -> str:
         draw(_misc)
         + _escape(draw(_text))
         + draw(_charref)
+        + draw(_bad_ref)
         + "".join(children)
         + draw(_misc)
     )
@@ -115,11 +127,18 @@ def _assert_same_tree(left, right) -> None:
 @settings(max_examples=200, deadline=None)
 @given(text=xml_text())
 def test_streaming_parse_matches_reference(text):
+    # Generated documents with a rejected reference or DTD internal subset
+    # must fail identically; all others must build identical trees.
     # Wrapping the reference root in an XmlDocument assigns pre/post ids,
     # so the comparison also pins the scanner's inline id assignment.
-    _assert_same_tree(
-        parse_node_streaming(text), XmlDocument(_parse_node_reference(text)).root
-    )
+    try:
+        expected = XmlDocument(_parse_node_reference(text)).root
+    except XmlParseError as exc:
+        with pytest.raises(XmlParseError) as streamed:
+            parse_node_streaming(text)
+        assert str(streamed.value) == str(exc)
+        return
+    _assert_same_tree(parse_node_streaming(text), expected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,6 +4,8 @@ The two ingestion paths (one-document-at-a-time vs batched with the
 columnar wire format) must be observationally identical — including while
 subscriptions churn between publish calls, which exercises template
 retirement, RT retraction and resubscription against warm join state.
+The one-shard :class:`~repro.runtime.ShardedBroker` must also reproduce
+the unsharded :class:`~repro.pubsub.Broker`'s delivery log exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 import pytest
 
 from repro import RuntimeConfig, open_broker
+from repro.runtime import ShardedBroker
 from repro.workloads.dblp import (
     DblpWorkloadConfig,
     generate_dblp_stream,
@@ -33,8 +36,12 @@ def _workload():
     return queries, documents
 
 
-def _run(engine: str, shards: int, batched: bool):
-    """Publish with churn between phases; return the ordered delivery log."""
+def _run(engine: str, shards: int, batched: bool, factory=open_broker):
+    """Publish with churn between phases; return the ordered delivery log.
+
+    ``factory`` builds the broker from its config (``open_broker`` routes
+    on ``shards``; ``ShardedBroker`` forces the sharded front end).
+    """
     queries, documents = _workload()
     rng = random.Random(41)
     log: list = []
@@ -45,7 +52,7 @@ def _run(engine: str, shards: int, batched: bool):
             if delivery.match is not None:
                 log.append((delivery.subscription_id, delivery.match.key()))
 
-    with open_broker(
+    with factory(
         RuntimeConfig(engine=engine, shards=shards, construct_outputs=False)
     ) as broker:
         live = []
@@ -81,3 +88,12 @@ def test_stream_and_batch_publish_agree_under_churn(engine, shards):
     assert streamed, "workload produced no matches — test is vacuous"
     assert set(streamed) == set(batched)
     assert streamed == batched, "delivery order diverged between paths"
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("engine", ["mmqjp", "sequential"])
+def test_one_shard_sharded_broker_matches_broker_under_churn(engine, batched):
+    unsharded = _run(engine, 1, batched)
+    one_shard = _run(engine, 1, batched, factory=ShardedBroker)
+    assert unsharded, "workload produced no matches — test is vacuous"
+    assert one_shard == unsharded

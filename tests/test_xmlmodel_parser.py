@@ -129,9 +129,60 @@ def test_parse_entities_in_attributes():
     assert node.attributes["a"] == "&lt;"
 
 
-def test_parse_unknown_entity_left_verbatim():
-    node = parse_node("<t>&copy; &amp; &nosuch;</t>")
-    assert node.text == "&copy; & &nosuch;"
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("<t>H&uuml;tter</t>", "undeclared entity reference &uuml; (near position 4,"),
+        ("<t>&amp; &nosuch;</t>", "undeclared entity reference &nosuch; (near position 9,"),
+        ('<t a="H&uuml;tter"/>', "undeclared entity reference &uuml; (near position 7,"),
+        ("<t>H&bogus</t>", "'&' must start an entity or character reference (near position 4,"),
+        ("<t>a & b</t>", "'&' must start an entity or character reference (near position 5,"),
+        ('<t a="x&y"/>', "'&' must start an entity or character reference (near position 7,"),
+        ("<t>&#;</t>", "'&' must start an entity or character reference (near position 3,"),
+        ("<t>&lt</t>", "'&' must start an entity or character reference (near position 3,"),
+    ],
+    ids=[
+        "undeclared-text",
+        "undeclared-after-amp",
+        "undeclared-attribute",
+        "bare-in-word",
+        "bare-spaced",
+        "bare-attribute",
+        "empty-charref",
+        "unterminated-entity",
+    ],
+)
+def test_parse_rejects_undeclared_entities_and_bare_ampersands(text, message):
+    # No DTD is read, so only the five predefined entities exist: anything
+    # else would otherwise pass through verbatim and never join its decoded
+    # spelling.  Both parsers, the streaming ingest path and the
+    # validate-only path reject it at the offending "&".
+    from repro import RuntimeConfig
+    from repro.pubsub import Broker
+    from repro.xmlmodel.parser import _parse_node_reference
+    from repro.xmlmodel.stream import validate_text
+
+    for parse in (parse_node, _parse_node_reference, validate_text):
+        with pytest.raises(XmlParseError) as error:
+            parse(text)
+        assert str(error.value).startswith(message)
+    # The streaming ingest path, which builds witnesses without a tree.
+    with Broker(RuntimeConfig(ingest="stream", construct_outputs=False)) as broker:
+        broker.subscribe("S//t->t FOLLOWED BY{t=t, 10} S//t->t")
+        with pytest.raises(XmlParseError) as error:
+            broker.publish(text)
+        assert str(error.value).startswith(message)
+
+
+def test_doctype_internal_subset_rejected_with_clear_message():
+    text = '<!DOCTYPE t [<!ENTITY uuml "&#252;">]><t>H&uuml;tter</t>'
+    from repro.xmlmodel.parser import _parse_node_reference
+
+    for parse in (parse_node, _parse_node_reference):
+        with pytest.raises(XmlParseError, match="DTD internal subsets are not supported"):
+            parse(text)
+    # A DOCTYPE without an internal subset is still skipped.
+    assert parse_node("<!DOCTYPE t><t>x</t>").text == "x"
 
 
 def test_parse_numeric_character_references():
